@@ -28,7 +28,7 @@ def main() -> int:
         cons = f"{verdict.num_classes}{'' if verdict.report.tdc else '!'}"
         gamma = total_domination_number_formula(n)
         if n <= exact_up_to:
-            exact = tdc_number_exact(standard_circulant(n)).chi_dt
+            exact = tdc_number_exact(standard_circulant(n), limit=exact_up_to).chi_dt
             agree = exact == f == verdict.num_classes and verdict.report.tdc
             status = "agree" if agree else f"EXACT SEARCH GIVES {exact}"
             exact_str = str(exact)

@@ -39,28 +39,18 @@ class ConstructionPlan:
     """A constructed coloring together with the pieces it was assembled from.
 
     packing is the open packing whose members become singleton classes
-    (empty for n <= 11, where the table is used verbatim); tail_sets are the
-    explicit boundary classes of the residue scheme, in listing order.
+    (empty for n <= 11, where the table is used verbatim).
     """
 
     n: int
     k: int
     residue: int
     packing: frozenset[int]
-    tail_sets: tuple[frozenset[int], ...]
     coloring: Coloring
 
     @property
     def classes(self) -> tuple[frozenset[int], ...]:
         return self.coloring.classes
-
-    @property
-    def odd_vertices(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1, 2))
-
-    @property
-    def even_vertices(self) -> frozenset[int]:
-        return frozenset(range(2, self.n + 1, 2))
 
     def to_dict(self) -> dict:
         return {
@@ -148,11 +138,8 @@ def construct_tdc(n: int) -> ConstructionPlan:
     if n <= 11:
         packing: frozenset[int] = frozenset()
         classes = [frozenset(c) for c in _SMALL_TABLE[n]]
-        tail_sets: tuple[frozenset[int], ...] = ()
     else:
-        packing, class_list = _residue_classes(n)
-        classes = class_list
-        tail_sets = tuple(class_list[len(packing):])
+        packing, classes = _residue_classes(n)
     for idx, cls in enumerate(classes):
         if not cls:
             raise ConstructionError(f"class {idx + 1} for n={n} is empty")
@@ -162,7 +149,6 @@ def construct_tdc(n: int) -> ConstructionPlan:
         k=n // 8,
         residue=n % 8,
         packing=packing,
-        tail_sets=tail_sets,
         coloring=coloring,
     )
 

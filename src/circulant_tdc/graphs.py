@@ -59,14 +59,6 @@ class CirculantGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.masks[i - 1] >> (j - 1) & 1)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i in self.vertices():
-            m = self.masks[i - 1] >> i  # neighbors j > i
-            while m:
-                low = m & -m
-                yield (i, i + low.bit_length())
-                m ^= low
-
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2
 
@@ -174,10 +166,6 @@ class ReductionResult:
     standard_c: int
     congruence: str
     vertex_map: Mapping[int, int]
-
-    @property
-    def original(self) -> tuple[int, int, int]:
-        return (self.n, self.a, self.b)
 
     def apply(self, x: int) -> int:
         return self.vertex_map[x]

@@ -2,25 +2,34 @@
 total domination and chromatic number.
 
 The closed forms are specific to the standard distance-{1,3} family; the
-oracles work on any circulant graph up to a configurable vertex limit
-(default 24, override via the CIRCULANT_TDC_ORACLE_LIMIT environment
-variable).  Oracle witnesses are deterministic: ties are broken toward the
-lexicographically smallest vertex set, which the searches realize by
-exploring candidate vertices in increasing order and stopping at the first
-optimum found.
+oracles work on any circulant graph of at most DEFAULT_ORACLE_LIMIT vertices,
+or up to the `limit` argument when the caller passes one.
+
+Independence and open packing share one branch-and-bound.  A set is an open
+packing exactly when no two of its members share a neighbour, that is, when
+it is independent in the graph that joins two vertices whenever they have a
+common neighbour; the open packing oracle and the census of maximum packings
+search that graph.
+
+Oracle witnesses are deterministic: ties are broken toward the
+lexicographically smallest vertex set.  The branch-and-bound includes the
+lowest available vertex before it excludes it, so it reaches sets of equal
+size in lex order.  Until the lex-least maximum set is found, every branch
+that holds it can still beat the best size so far, so the bound never prunes
+it; the first maximum set recorded is therefore the lex-least one.  Total
+domination scans sizes upward and stops at the first set in lex order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .coloring import Coloring
 from .graphs import CirculantGraph, is_standard_13, mask_to_vertices
 
 DEFAULT_ORACLE_LIMIT = 24
-ORACLE_LIMIT_ENV = "CIRCULANT_TDC_ORACLE_LIMIT"
 
 
 class OracleLimitError(ValueError):
@@ -31,18 +40,12 @@ class OracleLimitError(ValueError):
         self.limit = limit
         super().__init__(
             f"refusing exhaustive search on n={n} vertices (limit {limit}; "
-            f"raise via {ORACLE_LIMIT_ENV} or the limit argument)"
+            "raise via limit= or --limit)"
         )
 
 
-def oracle_limit(limit: int | None = None) -> int:
-    if limit is not None:
-        return limit
-    return int(os.environ.get(ORACLE_LIMIT_ENV, DEFAULT_ORACLE_LIMIT))
-
-
 def _check_limit(n: int, limit: int | None) -> None:
-    eff = oracle_limit(limit)
+    eff = DEFAULT_ORACLE_LIMIT if limit is None else limit
     if n > eff:
         raise OracleLimitError(n, eff)
 
@@ -123,114 +126,71 @@ def total_domination_number_formula(n: int) -> int:
 # brute-force searches
 
 
-def _max_independent_size(masks: list[int], avail: int, current: int, best: int) -> int:
-    # branch and bound on the lowest available vertex: include it, then loop
-    # on with it excluded
+def _max_independent(
+    masks: list[int], avail: int, chosen: int = 0, best: tuple[int, int] = (0, 0)
+) -> tuple[int, int]:
+    """Lex-least maximum independent set extending `chosen` within `avail`.
+
+    Returns (size, bitmask), or `best` when nothing beats it.  Branches on the
+    lowest available vertex: include it, then loop on with it excluded.
+    """
+    size = chosen.bit_count()
     while avail:
-        if current + avail.bit_count() <= best:
+        if size + avail.bit_count() <= best[0]:
             return best
         low = avail & -avail
         v = low.bit_length() - 1
-        best = _max_independent_size(masks, avail & ~(low | masks[v]), current + 1, best)
+        best = _max_independent(masks, avail & ~(low | masks[v]), chosen | low, best)
         avail ^= low
-    return max(best, current)
+    return (size, chosen) if size > best[0] else best
 
 
-def _lex_first_independent(masks: list[int], n: int, target: int) -> tuple[int, ...] | None:
-    """First independent set of exactly `target` vertices in lex DFS order."""
-    out: list[int] = []
+def _independent_sets_of_size(
+    masks: list[int], avail: int, need: int, chosen: int = 0
+) -> Iterator[int]:
+    """Yield every independent set of `need` more vertices from `avail`, in lex order."""
+    if need == 0:
+        yield chosen
+        return
+    while avail.bit_count() >= need:
+        low = avail & -avail
+        avail ^= low
+        v = low.bit_length() - 1
+        yield from _independent_sets_of_size(masks, avail & ~masks[v], need - 1, chosen | low)
 
-    def rec(avail: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if avail.bit_count() < need:
-            return False
-        a = avail
-        while a:
-            low = a & -a
-            a ^= low
-            v = low.bit_length() - 1
-            out.append(v + 1)
-            if rec(a & ~masks[v], need - 1):
-                return True
-            out.pop()
-        return False
 
-    if rec((1 << n) - 1, target):
-        return tuple(out)
-    return None
+def _shared_neighbour_masks(g: CirculantGraph) -> list[int]:
+    """Vertices other than v that share a neighbour with v, as bitmasks.
+
+    Open packings of g are exactly the independent sets of this graph.
+    """
+    conflict = []
+    for v, nv in enumerate(g.masks):
+        m = 0
+        for u in mask_to_vertices(nv):
+            m |= g.masks[u - 1]
+        conflict.append(m & ~(1 << v))
+    return conflict
 
 
 def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
-    masks = list(g.masks)
-    size = _max_independent_size(masks, g.full_mask, 0, 0)
-    witness = _lex_first_independent(masks, g.n, size)
+    size, witness = _max_independent(list(g.masks), g.full_mask)
     closed = None
     if is_standard_13(g) and g.n >= 4:
         closed = independence_number_formula(g.n)
-    return _combine("independence", closed, size, witness)
-
-
-def _open_packings_of_size(
-    masks: list[int], n: int, target: int, stop_at_first: bool
-) -> list[tuple[int, ...]]:
-    """All open packings of exactly `target` vertices, in lex order.
-
-    A set is an open packing iff the open neighborhoods of its members are
-    pairwise disjoint; `used` accumulates their union.
-    """
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(start: int, used: int) -> bool:
-        if len(chosen) == target:
-            found.append(tuple(chosen))
-            return stop_at_first
-        if n - start < target - len(chosen):
-            return False
-        for v in range(start, n):
-            if masks[v] & used:
-                continue
-            chosen.append(v + 1)
-            if rec(v + 1, used | masks[v]):
-                return True
-            chosen.pop()
-        return False
-
-    rec(0, 0)
-    return found
-
-
-def _max_open_packing_size(masks: list[int], n: int) -> int:
-    best = 0
-
-    def rec(start: int, used: int, size: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        if size + (n - start) <= best:
-            return
-        for v in range(start, n):
-            if not masks[v] & used:
-                rec(v + 1, used | masks[v], size + 1)
-
-    rec(0, 0, 0)
-    return best
+    return _combine("independence", closed, size, mask_to_vertices(witness))
 
 
 def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum open packing size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
-    masks = list(g.masks)
-    size = _max_open_packing_size(masks, g.n)
-    witness: tuple[int, ...] | None = None
-    if size:
-        witness = _open_packings_of_size(masks, g.n, size, stop_at_first=True)[0]
+    size, witness = _max_independent(_shared_neighbour_masks(g), g.full_mask)
     closed = None
     if is_standard_13(g) and g.n >= 3:
         closed = open_packing_number_formula(g.n)
-    return _combine("open_packing", closed, size, witness)
+    return _combine("open_packing", closed, size, mask_to_vertices(witness))
 
 
 @dataclass(frozen=True)
@@ -288,13 +248,14 @@ def max_open_packing_structure(
     if not is_standard_13(g) or g.n < 7:
         raise ValueError("structure census applies to the standard distance-{1,3} graph, n >= 7")
     _check_limit(g.n, limit)
-    masks = list(g.masks)
-    size = _max_open_packing_size(masks, g.n)
+    conflict = _shared_neighbour_masks(g)
+    size, _ = _max_independent(conflict, g.full_mask)
     shapes = []
     conforms = True
     expected_edges = g.n // 8
     expected_isolated = 1 if g.n % 8 in (5, 7) else 0
-    for packing in _open_packings_of_size(masks, g.n, size, stop_at_first=False):
+    for mask in _independent_sets_of_size(conflict, g.full_mask, size):
+        packing = mask_to_vertices(mask)
         edges = [
             (u, v) for u, v in combinations(packing, 2) if g.has_edge(u, v)
         ]

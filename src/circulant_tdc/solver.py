@@ -22,7 +22,6 @@ exhausted first.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -32,17 +31,10 @@ from .graphs import CirculantGraph, is_standard_13
 from .invariants import chromatic_number_oracle, total_domination_number_oracle
 
 DEFAULT_SOLVER_LIMIT = 24
-SOLVER_LIMIT_ENV = "CIRCULANT_TDC_SOLVER_LIMIT"
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-
-def solver_limit(limit: int | None = None) -> int:
-    if limit is not None:
-        return limit
-    return int(os.environ.get(SOLVER_LIMIT_ENV, DEFAULT_SOLVER_LIMIT))
 
 
 class SolverLimitError(ValueError):
@@ -51,7 +43,7 @@ class SolverLimitError(ValueError):
         self.limit = limit
         super().__init__(
             f"refusing exact search on n={n} vertices (limit {limit}; "
-            f"raise via {SOLVER_LIMIT_ENV} or the limit argument)"
+            "raise via limit= or --limit)"
         )
 
 
@@ -234,7 +226,7 @@ def tdc_number_exact(
     Raises BudgetExceededError with the bracket found so far if any level
     exhausts its budget, and SolverLimitError above the vertex limit.
     """
-    eff_limit = solver_limit(limit)
+    eff_limit = DEFAULT_SOLVER_LIMIT if limit is None else limit
     if g.n > eff_limit:
         raise SolverLimitError(g.n, eff_limit)
     if any(not m for m in g.masks):

@@ -74,13 +74,28 @@ def max_independent_size(n, adj):
     return best
 
 
-def open_packing_number(n, adj):
-    best = 0
+def _first_maximum(n, ok):
+    """Lex-least largest set of vertices whose pairs all satisfy ok(a, b).
+
+    combinations yields each size in lex order, so the first hit is lex-least.
+    """
     for r in range(n, 0, -1):
         for s in combinations(range(1, n + 1), r):
-            if all(not (adj[a] & adj[b]) for a, b in combinations(s, 2)):
-                return r
-    return best
+            if all(ok(a, b) for a, b in combinations(s, 2)):
+                return s
+    return ()
+
+
+def max_independent_set(n, adj):
+    return _first_maximum(n, lambda a, b: b not in adj[a])
+
+
+def max_open_packing(n, adj):
+    return _first_maximum(n, lambda a, b: not (adj[a] & adj[b]))
+
+
+def open_packing_number(n, adj):
+    return len(max_open_packing(n, adj))
 
 
 def min_total_dominating_size(n, adj):

@@ -263,7 +263,7 @@ def test_criterion_5_reductions_6_to_16():
     assert not failures, failures[:5]
 
 
-def test_criterion_6_offset_identity_to_1e6():
+def check_offset_identity():
     failures = []
     for n in range(6, 10**6 + 1):
         try:
@@ -272,6 +272,11 @@ def test_criterion_6_offset_identity_to_1e6():
             failures.append(
                 (n, formula_tdc(n) - total_domination_number_formula(n))
             )
+    return failures
+
+
+def test_criterion_6_offset_identity_to_1e6():
+    failures = check_offset_identity()
     _report(
         6,
         "offset case split equals formula difference for n=6..10^6",
@@ -282,6 +287,19 @@ def test_criterion_6_offset_identity_to_1e6():
         "offset case split disagrees with the closed forms at "
         + "; ".join(f"n={n} (case value 2, actual difference {d})" for n, d in failures)
     )
+
+
+def test_discrepancy_ledger():
+    """Pin the exact set of known discrepancies behind criteria 1, 3, 4 and 6.
+
+    Those criteria fail on purpose; this test passes only while the points
+    where they fail are exactly the known ones, so a new disagreement (or a
+    fix of an old one) shows up here.
+    """
+    assert [n for n, *_ in check_exact_agreement()] == [18]
+    assert [d[:2] for d in check_invariant_agreement()] == [("open_packing", 4)]
+    assert [n for n, *_ in _packing_structure_violations()] == [10, 12, 14, 15, 18, 20]
+    assert [n for n, _ in check_offset_identity()] == [6]
 
 
 if __name__ == "__main__":

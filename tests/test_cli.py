@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from circulant_tdc import Coloring, build_circulant, is_tdc
 from circulant_tdc.cli import main
 
 
@@ -22,6 +23,17 @@ class TestChidt:
         code, out = run_cli("chidt", "7", "2", "6")
         assert code == 0
         assert "reduces to C_7(1,3)" in out
+
+    # (26, 5, 11) is a mirrored case: 5^-1 * 11 = 23 = -3 (mod 26)
+    @pytest.mark.parametrize("n,a,b", [(7, 2, 6), (13, 2, 6), (20, 3, 9), (26, 5, 11)])
+    def test_construct_classes_color_the_requested_graph(self, n, a, b):
+        code, out = run_cli("chidt", str(n), str(a), str(b), "--construct", "--json")
+        assert code == 0
+        claims = json.loads(out)["results"][0]["claims"]
+        (built,) = [c for c in claims if c["source"] == "construction"]
+        coloring = Coloring.from_classes(n, built["classes"])
+        assert built["tdc"] is True
+        assert is_tdc(build_circulant(n, [a, b]), coloring).tdc
 
     def test_json_envelope(self):
         code, out = run_cli("chidt", "12", "--exact", "--json")

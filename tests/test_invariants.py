@@ -17,6 +17,16 @@ from circulant_tdc import (
 )
 
 
+# C_n(1,3) cases are named by n alone, other connection sets "n-gens"; an n
+# where two generators give the same circular distance is skipped
+REFERENCE_CASES = [pytest.param(n, (1, 3), id=str(n)) for n in range(5, 13)] + [
+    pytest.param(n, gens, id=f"{n}-{','.join(map(str, gens))}")
+    for gens in ((1, 2), (2, 5), (1, 4), (1, 4, 6))
+    for n in range(5, 14)
+    if len(oracles.normalized_distances(n, gens)) == len(gens)
+]
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("n,expected", [(8, 4), (9, 3), (12, 6), (4, 2), (25, 11)])
     def test_independence(self, n, expected):
@@ -66,11 +76,12 @@ class TestIndependenceOracle:
             w = inv.witness
             assert all(not g.has_edge(a, b) for i, a in enumerate(w) for b in w[i + 1:])
 
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_matches_reference(self, n):
-        adj = oracles.neighbors(n, oracles.normalized_distances(n, [1, 3]))
-        inv = independence_number_oracle(standard_circulant(n))
+    @pytest.mark.parametrize("n,gens", REFERENCE_CASES)
+    def test_matches_reference(self, n, gens):
+        adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
+        inv = independence_number_oracle(build_circulant(n, gens))
         assert inv.oracle == oracles.max_independent_size(n, adj)
+        assert inv.witness == oracles.max_independent_set(n, adj)
 
 
 class TestOpenPackingOracle:
@@ -103,11 +114,12 @@ class TestOpenPackingOracle:
                 for b in w[i + 1:]:
                     assert not (g.neighbors(a) & g.neighbors(b))
 
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_matches_reference(self, n):
-        adj = oracles.neighbors(n, oracles.normalized_distances(n, [1, 3]))
-        inv = open_packing_number_oracle(standard_circulant(n))
+    @pytest.mark.parametrize("n,gens", REFERENCE_CASES)
+    def test_matches_reference(self, n, gens):
+        adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
+        inv = open_packing_number_oracle(build_circulant(n, gens))
         assert inv.oracle == oracles.open_packing_number(n, adj)
+        assert inv.witness == oracles.max_open_packing(n, adj)
 
     @pytest.mark.parametrize("n", range(7, 25))
     def test_regularity_upper_bound(self, n):
@@ -187,7 +199,7 @@ class TestPackingStructure:
 class TestOracleLimits:
     def test_refusal_reports_limit(self):
         g = standard_circulant(25)
-        with pytest.raises(OracleLimitError, match="25"):
+        with pytest.raises(OracleLimitError, match="25.*limit="):
             independence_number_oracle(g)
         with pytest.raises(OracleLimitError):
             open_packing_number_oracle(g)
@@ -197,8 +209,3 @@ class TestOracleLimits:
     def test_explicit_limit_override(self):
         g = standard_circulant(25)
         assert independence_number_oracle(g, limit=25).oracle == 11
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CIRCULANT_TDC_ORACLE_LIMIT", "26")
-        g = standard_circulant(25)
-        assert independence_number_oracle(g).oracle == 11
