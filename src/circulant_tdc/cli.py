@@ -1,10 +1,13 @@
 """Command-line front door.
 
 Commands: chidt, sweep, invariants, verify-coloring, construct, reduce,
-table.  Output is human text by default; --json emits a stable envelope
-{version, command, results, summary} with results sorted by n, and --csv is
-available for the tabular commands.  Every numeric claim carries a source
-tag: "formula", "construction", "oracle" or "exact-search".
+table.  A command returns a RunReport and prints nothing; main alone writes
+it: human text by default, --csv rows (sweep, table), or with --json the one
+envelope {version, command, inputs, results, summary} of every command, with
+results sorted by n (table's summary adds rows and offset_inconsistencies).
+Every numeric claim carries a source tag: "formula", "construction",
+"oracle" or "exact-search".  An input error prints one "error:" line on
+stderr and nothing on stdout.
 
 Exit codes: 0 when everything agrees, 1 for usage or input errors (including
 exhausted budgets and oracle refusals on commands that need them), 2 when a
@@ -20,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, ColoringError, is_tdc
-from .constructions import construct_tdc, verify_construction
+from .constructions import ConstructionVerdict, construct_tdc
 from .formulas import build_formula_table, formula_tdc, formula_tdc_general
 from .graphs import (
     CirculantGraph,
@@ -50,17 +53,27 @@ EXIT_DISAGREE = 2
 
 @dataclass
 class RunReport:
+    """What one command found; main renders it as text, CSV or JSON.
+
+    `text` replaces the claim listing for commands with their own layout,
+    `csv` holds the --csv lines (header first), `summary` adds keys to the
+    JSON summary, and `bracket` records a search stopped by its budget.
+    """
+
     command: str
     inputs: dict
     results: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     disagreements: int = 0
     agreements: int = 0
+    bracket: list[int] | None = None
+    text: list[str] = field(default_factory=list)
+    csv: list[str] = field(default_factory=list)
+    summary: dict = field(default_factory=dict)
     started: float = field(default_factory=time.monotonic)
 
     def claim(self, result: dict, quantity: str, value, source: str, **extra) -> None:
-        entry = {"quantity": quantity, "value": value, "source": source}
-        entry.update(extra)
+        entry = {"quantity": quantity, "value": value, "source": source, **extra}
         result.setdefault("claims", []).append(entry)
 
     def mark(self, agree: bool) -> None:
@@ -69,85 +82,120 @@ class RunReport:
         else:
             self.disagreements += 1
 
-    def to_json(self) -> str:
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": sorted(self.results, key=lambda r: r.get("n", 0)),
-            "summary": {
+    def stop(self, result: dict, exc: BudgetExceededError, where: str = "") -> None:
+        """Record a search stopped by its budget: the bracket, and a note naming it."""
+        self.bracket = result["bracket"] = [exc.lower, exc.upper]
+        self.notes.append(f"{where}budget exceeded: exact value bracketed in {self.bracket}")
+
+    @property
+    def exit_code(self) -> int:
+        if self.bracket is not None:
+            return EXIT_INPUT
+        return EXIT_DISAGREE if self.disagreements else EXIT_OK
+
+    def render(self, fmt: str) -> list[str]:
+        """The output lines in "text", "csv" or "json"."""
+        results = sorted(self.results, key=lambda r: r.get("n", 0))
+        if fmt == "csv":
+            return self.csv
+        if fmt == "json":
+            summary = {
                 "agreements": self.agreements,
                 "disagreements": self.disagreements,
                 "notes": self.notes,
                 "elapsed_seconds": round(time.monotonic() - self.started, 6),
-            },
-        }
-        return json.dumps(payload, indent=2)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_DISAGREE if self.disagreements else EXIT_OK
-
-
-def _print_text_claims(result: dict, out) -> None:
-    for claim in result.get("claims", []):
-        extras = {
-            k: v
-            for k, v in claim.items()
-            if k not in ("quantity", "value", "source")
-        }
-        suffix = f"  {extras}" if extras else ""
-        print(f"  {claim['quantity']:<24} {claim['value']!s:<12} [{claim['source']}]{suffix}", file=out)
-
-
-def _emit(report: RunReport, args, out) -> int:
-    if getattr(args, "json", False):
-        print(report.to_json(), file=out)
-    else:
-        for result in sorted(report.results, key=lambda r: r.get("n", 0)):
-            header = result.get("header")
-            if header:
-                print(header, file=out)
-            _print_text_claims(result, out)
-        for note in report.notes:
-            print(f"note: {note}", file=out)
-        print(
-            f"summary: {report.agreements} agreement(s), {report.disagreements} disagreement(s)",
-            file=out,
+                **self.summary,
+            }
+            envelope = {"version": SCHEMA_VERSION, "command": self.command, "inputs": self.inputs}
+            return [json.dumps({**envelope, "results": results, "summary": summary}, indent=2)]
+        if self.text:
+            return self.text
+        lines = []
+        for result in results:
+            lines.append(result["header"])
+            for claim in result.get("claims", []):
+                extras = {
+                    k: v for k, v in claim.items() if k not in ("quantity", "value", "source")
+                }
+                suffix = f"  {extras}" if extras else ""
+                lines.append(
+                    f"  {claim['quantity']:<24} {claim['value']!s:<12} [{claim['source']}]{suffix}"
+                )
+        lines += [f"note: {note}" for note in self.notes]
+        lines.append(
+            f"summary: {self.agreements} agreement(s), {self.disagreements} disagreement(s)"
         )
-    return report.exit_code
+        return lines
 
 
-def _build_graph(n: int, a: int | None, b: int | None, conn: str | None) -> CirculantGraph:
+def _pair(args) -> tuple[int, int] | None:
+    """The optional generators a b of the graph arguments: both or neither."""
+    if (args.a is None) != (args.b is None):
+        raise ValueError("give both a and b, or neither")
+    return None if args.a is None else (args.a, args.b)
+
+
+def _build_graph(n: int, pair: tuple[int, int] | None, conn: str | None = None) -> CirculantGraph:
     """n alone -> standard graph; n a b -> C_n(a,b); --set -> arbitrary circulant."""
     if conn is not None:
-        gens = [int(tok) for tok in conn.replace(",", " ").split()]
-        return build_circulant(n, gens)
-    if a is not None and b is not None:
-        return build_circulant(n, [a, b])
-    return standard_circulant(n)
+        return build_circulant(n, [int(tok) for tok in conn.replace(",", " ").split()])
+    return standard_circulant(n) if pair is None else build_circulant(n, list(pair))
+
+
+def _check_construction(report, n, graph=None, reduction=None):
+    """Build the C_n(1,3) construction once and test it on `graph` (default C_n(1,3)).
+
+    With a reduction, each class S is pulled back to {x : a^{-1}x in S}, a
+    coloring of C_n(a,b).  Marks the verdict on the report and returns the
+    ConstructionPlan, the coloring that was tested and its ConstructionVerdict.
+    """
+    plan = construct_tdc(n)
+    coloring = plan.coloring
+    if reduction is not None:
+        image = reduction.vertex_map
+        coloring = Coloring.from_classes(
+            n, [{x for x in image if image[x] in cls} for cls in coloring.classes]
+        )
+    graph = graph if graph is not None else standard_circulant(n)
+    verdict = ConstructionVerdict(n, len(coloring), formula_tdc(n), is_tdc(graph, coloring))
+    report.mark(verdict.ok)
+    return plan, coloring, verdict
+
+
+def _check_exact(report, result, graph, formula_value, where="", **search):
+    """tdc_number_exact(graph, **search), marked against the formula.
+
+    Returns the SearchOutcome, or None after a budget stop, which the report
+    records with `where` as the prefix of its note.
+    """
+    try:
+        outcome = tdc_number_exact(graph, **search)
+    except BudgetExceededError as exc:
+        report.stop(result, exc, where)
+        return None
+    report.mark(outcome.chi_dt == formula_value)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
-# chidt
+# commands
 
 
-def _cmd_chidt(args, out) -> int:
-    n = args.n
-    if (args.a is None) != (args.b is None):
-        print("error: give both a and b, or neither", file=sys.stderr)
-        return EXIT_INPUT
+def _cmd_chidt(args) -> RunReport:
+    n, pair = args.n, _pair(args)
     report = RunReport(
-        command="chidt",
-        inputs={"n": n, "a": args.a, "b": args.b, "exact": args.exact, "construct": args.construct},
+        "chidt",
+        {"n": n, "a": args.a, "b": args.b, "exact": args.exact, "construct": args.construct},
     )
     result: dict = {"n": n, "header": f"n={n}"}
     report.results.append(result)
 
     reduction = None
-    if args.a is not None and args.b is not None:
-        reduction = reduce_to_standard(n, args.a, args.b)
-        formula_value = formula_tdc_general(n, args.a, args.b)
+    if pair is None:
+        formula_value = formula_tdc(n)
+    else:
+        reduction = reduce_to_standard(n, *pair)
+        formula_value = formula_tdc_general(n, *pair)
         result["reduction"] = {
             "standard_c": reduction.standard_c,
             "congruence": reduction.congruence,
@@ -157,159 +205,98 @@ def _cmd_chidt(args, out) -> int:
             f"C_{n}({args.a},{args.b}) reduces to C_{n}(1,{reduction.standard_c}) "
             f"via x -> {reduction.a_inverse}x mod {n} ({reduction.congruence} congruence)"
         )
-        graph = build_circulant(n, [args.a, args.b])
-    else:
-        formula_value = formula_tdc(n)
-        graph = standard_circulant(n)
+    graph = _build_graph(n, pair)
     if n == 6:
         report.notes.append("n=6 is covered by the standard-graph statement only")
     report.claim(result, "chi_dt", formula_value, "formula")
 
     if args.construct:
-        coloring = construct_tdc(n).coloring
-        if reduction is not None:
-            # class S of C_n(1,3) becomes {x : a^{-1}x in S} of C_n(a,b)
-            image = reduction.vertex_map
-            coloring = Coloring.from_classes(
-                n, [{x for x in image if image[x] in cls} for cls in coloring.classes]
-            )
-        tdc = is_tdc(graph, coloring).tdc
-        report.claim(
-            result, "chi_dt", len(coloring), "construction", tdc=tdc, classes=coloring.as_lists()
-        )
-        report.mark(tdc and len(coloring) == formula_value)
+        _, coloring, verdict = _check_construction(report, n, graph, reduction)
+        tdc, classes = verdict.report.tdc, coloring.as_lists()
+        report.claim(result, "chi_dt", len(coloring), "construction", tdc=tdc, classes=classes)
 
     if args.exact:
         budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
-        try:
-            outcome = tdc_number_exact(graph, budget=budget, limit=args.limit)
-        except BudgetExceededError as exc:
-            report.notes.append(
-                f"budget exceeded: exact value bracketed in [{exc.lower}, {exc.upper}]"
-            )
-            result["bracket"] = [exc.lower, exc.upper]
-            _emit(report, args, out)
-            return EXIT_INPUT
-        report.claim(
-            result,
-            "chi_dt",
-            outcome.chi_dt,
-            "exact-search",
-            lower_bound=outcome.lower_bound_used,
-            lower_bound_source=outcome.lower_bound_source,
-            upper_bound=outcome.upper_bound_used,
-            upper_bound_source=outcome.upper_bound_source,
-            nodes=outcome.nodes_explored,
-            witness=outcome.witness.as_lists(),
+        outcome = _check_exact(
+            report, result, graph, formula_value, budget=budget, limit=args.limit
         )
-        report.mark(outcome.chi_dt == formula_value)
+        if outcome is not None:
+            report.claim(
+                result,
+                "chi_dt",
+                outcome.chi_dt,
+                "exact-search",
+                lower_bound=outcome.lower_bound_used,
+                lower_bound_source=outcome.lower_bound_source,
+                upper_bound=outcome.upper_bound_used,
+                upper_bound_source=outcome.upper_bound_source,
+                nodes=outcome.nodes_explored,
+                witness=outcome.witness.as_lists(),
+            )
+    return report
 
-    return _emit(report, args, out)
 
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args) -> RunReport:
     if args.n_from < 6 or args.n_to < args.n_from:
-        print(f"error: need 6 <= n_from <= n_to, got {args.n_from}..{args.n_to}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"need 6 <= n_from <= n_to, got {args.n_from}..{args.n_to}")
     report = RunReport(
-        command="sweep",
-        inputs={"n_from": args.n_from, "n_to": args.n_to, "exact_up_to": args.exact_up_to},
+        "sweep", {"n_from": args.n_from, "n_to": args.n_to, "exact_up_to": args.exact_up_to}
     )
-    rows = []
+    report.csv.append("n,chi_dt_formula,construction_classes,construction_tdc,exact,agree")
     for n in range(args.n_from, args.n_to + 1):
         formula_value = formula_tdc(n)
-        verdict = verify_construction(n)
-        result = {"n": n, "header": f"n={n}"}
-        report.claim(result, "chi_dt", formula_value, "formula")
-        report.claim(
-            result, "chi_dt", verdict.num_classes, "construction", tdc=verdict.report.tdc
-        )
-        agree = verdict.ok and verdict.num_classes == formula_value
-        report.mark(agree)
-        exact_value: int | None = None
-        if args.exact_up_to is not None and n <= args.exact_up_to:
-            try:
-                outcome = tdc_number_exact(standard_circulant(n), limit=args.exact_up_to)
-            except BudgetExceededError as exc:
-                report.notes.append(f"n={n}: budget exceeded, bracket [{exc.lower}, {exc.upper}]")
-                report.results.append(result)
-                _emit(report, args, out)
-                return EXIT_INPUT
-            exact_value = outcome.chi_dt
-            report.claim(result, "chi_dt", exact_value, "exact-search")
-            report.mark(exact_value == formula_value)
-            agree = agree and exact_value == formula_value
-        rows.append((n, formula_value, verdict, exact_value, agree))
+        graph = standard_circulant(n)
+        result: dict = {"n": n, "header": f"n={n}"}
         report.results.append(result)
-
-    if args.csv:
-        print("n,chi_dt_formula,construction_classes,construction_tdc,exact,agree", file=out)
-        for n, fv, verdict, exact_value, agree in rows:
-            ex = "" if exact_value is None else str(exact_value)
-            print(
-                f"{n},{fv},{verdict.num_classes},{verdict.report.tdc},{ex},{agree}",
-                file=out,
+        report.claim(result, "chi_dt", formula_value, "formula")
+        _, _, verdict = _check_construction(report, n, graph)
+        tdc = verdict.report.tdc
+        report.claim(result, "chi_dt", verdict.num_classes, "construction", tdc=tdc)
+        agree, exact = verdict.ok, ""
+        if args.exact_up_to is not None and n <= args.exact_up_to:
+            outcome = _check_exact(
+                report, result, graph, formula_value, f"n={n}: ", limit=args.exact_up_to
             )
-        return report.exit_code
-    return _emit(report, args, out)
+            if outcome is None:
+                break
+            exact = outcome.chi_dt
+            report.claim(result, "chi_dt", exact, "exact-search")
+            agree = agree and exact == formula_value
+        report.csv.append(f"{n},{formula_value},{verdict.num_classes},{tdc},{exact},{agree}")
+    return report
 
 
-# ---------------------------------------------------------------------------
-# invariants
+_INVARIANTS = (
+    ("independence", independence_number_formula, 4, independence_number_oracle),
+    ("open_packing", open_packing_number_formula, 3, open_packing_number_oracle),
+    ("total_domination", total_domination_number_formula, 4, total_domination_number_oracle),
+)
 
 
-def _cmd_invariants(args, out) -> int:
+def _cmd_invariants(args) -> RunReport:
     n = args.n
-    report = RunReport(command="invariants", inputs={"n": n, "oracle": args.oracle, "set": args.set})
+    report = RunReport("invariants", {"n": n, "oracle": args.oracle, "set": args.set})
     result: dict = {"n": n, "header": f"n={n}"}
     report.results.append(result)
+    graph = _build_graph(n, None, args.set)
 
-    arbitrary = args.set is not None
-    graph = _build_graph(n, None, None, args.set)
-
-    closed_forms = []
-    if not arbitrary:
-        for name, fn, min_n in (
-            ("independence", independence_number_formula, 4),
-            ("open_packing", open_packing_number_formula, 3),
-            ("total_domination", total_domination_number_formula, 4),
-        ):
+    if args.set is None:
+        for name, formula, min_n, _ in _INVARIANTS:
             if n >= min_n:
-                value = fn(n)
-                report.claim(result, name, value, "formula")
-                closed_forms.append((name, value))
+                report.claim(result, name, formula(n), "formula")
 
     if args.oracle:
-        oracle_fns = {
-            "independence": independence_number_oracle,
-            "open_packing": open_packing_number_oracle,
-            "total_domination": total_domination_number_oracle,
-        }
-        for name, fn in oracle_fns.items():
+        for name, _, _, oracle in _INVARIANTS:
             try:
-                inv = fn(graph, limit=args.limit)
+                inv = oracle(graph, limit=args.limit)
             except OracleLimitError as exc:
                 report.notes.append(f"{name}: {exc}")
                 continue
-            report.claim(
-                result,
-                name,
-                inv.oracle,
-                "oracle",
-                witness=list(inv.witness) if inv.witness else None,
-            )
+            witness = list(inv.witness) if inv.witness else None
+            report.claim(result, name, inv.oracle, "oracle", witness=witness)
             if inv.agree is not None:
                 report.mark(inv.agree)
-
-    return _emit(report, args, out)
-
-
-# ---------------------------------------------------------------------------
-# verify-coloring
+    return report
 
 
 def parse_coloring_file(text: str, n: int) -> Coloring:
@@ -322,6 +309,11 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
             raise ColoringError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
             raise ColoringError("expected a JSON array of arrays of vertex labels")
+        for idx, cls in enumerate(data, start=1):
+            # bool is an int subclass, but true is not a vertex label
+            bad = [v for v in cls if not isinstance(v, int) or isinstance(v, bool)]
+            if bad:
+                raise ColoringError(f"class {idx}: label {json.dumps(bad[0])} is not an integer")
         return Coloring.from_classes(n, data)
     classes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -335,29 +327,16 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
     return Coloring.from_classes(n, classes)
 
 
-def _cmd_verify_coloring(args, out) -> int:
-    if (args.a is None) != (args.b is None):
-        print("error: give both a and b, or neither", file=sys.stderr)
-        return EXIT_INPUT
+def _cmd_verify_coloring(args) -> RunReport:
+    graph = _build_graph(args.n, _pair(args), args.set)
+    with open(args.coloring_file, encoding="utf-8") as handle:
+        text = handle.read()
     try:
-        graph = _build_graph(args.n, args.a, args.b, args.set)
-    except GraphConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        with open(args.coloring_file, encoding="utf-8") as handle:
-            coloring = parse_coloring_file(handle.read(), graph.n)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        coloring = parse_coloring_file(text, graph.n)
     except ColoringError as exc:
-        print(f"error: {args.coloring_file}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ColoringError(f"{args.coloring_file}: {exc}") from exc
     tdc_report = is_tdc(graph, coloring)
-    report = RunReport(
-        command="verify-coloring",
-        inputs={"n": graph.n, "coloring_file": args.coloring_file},
-    )
+    report = RunReport("verify-coloring", {"n": graph.n, "coloring_file": args.coloring_file})
     result = {"n": graph.n, "header": f"n={graph.n}", "report": tdc_report.to_dict()}
     report.claim(result, "proper", tdc_report.proper, "oracle")
     report.claim(result, "tdc", tdc_report.tdc, "oracle")
@@ -365,49 +344,36 @@ def _cmd_verify_coloring(args, out) -> int:
     if tdc_report.uncovered:
         report.claim(result, "uncovered", list(tdc_report.uncovered), "oracle")
     for rec in tdc_report.classes:
-        report.claim(
-            result,
-            f"CN{list(rec.vertices)}",
-            list(rec.common_neighborhood),
-            "oracle",
-            size=rec.size,
-        )
+        cn = list(rec.common_neighborhood)
+        report.claim(result, f"CN{list(rec.vertices)}", cn, "oracle", size=rec.size)
     report.results.append(result)
-    return _emit(report, args, out)
+    return report
 
 
-# ---------------------------------------------------------------------------
-# construct / reduce / table
-
-
-def _cmd_construct(args, out) -> int:
-    plan = construct_tdc(args.n)
-    verdict = verify_construction(args.n)
-    report = RunReport(command="construct", inputs={"n": args.n})
-    result = {"n": args.n, "header": f"n={args.n}", "plan": plan.to_dict()}
+def _cmd_construct(args) -> RunReport:
+    n = args.n
+    report = RunReport("construct", {"n": n})
+    plan, coloring, verdict = _check_construction(report, n)
+    result = {"n": n, "header": f"n={n}", "plan": plan.to_dict()}
     report.claim(result, "num_classes", verdict.num_classes, "construction")
     report.claim(result, "chi_dt", verdict.expected_classes, "formula")
     report.claim(result, "tdc", verdict.report.tdc, "construction")
-    report.mark(verdict.ok)
     report.results.append(result)
-    if not getattr(args, "json", False):
-        print(f"n={args.n}  classes ({verdict.num_classes}):", file=out)
-        for cls in plan.coloring.as_lists():
-            print("  {" + ", ".join(map(str, cls)) + "}", file=out)
-        print(
-            f"tdc={verdict.report.tdc}  expected_classes={verdict.expected_classes}  ok={verdict.ok}",
-            file=out,
-        )
-        return report.exit_code
-    return _emit(report, args, out)
+    report.text = [
+        f"n={n}  classes ({verdict.num_classes}):",
+        *("  {" + ", ".join(map(str, cls)) + "}" for cls in coloring.as_lists()),
+        f"tdc={verdict.report.tdc}  expected_classes={verdict.expected_classes}  ok={verdict.ok}",
+    ]
+    return report
 
 
-def _cmd_reduce(args, out) -> int:
-    reduction = reduce_to_standard(args.n, args.a, args.b)
-    report = RunReport(command="reduce", inputs={"n": args.n, "a": args.a, "b": args.b})
+def _cmd_reduce(args) -> RunReport:
+    n, a, b = args.n, args.a, args.b
+    reduction = reduce_to_standard(n, a, b)
+    report = RunReport("reduce", {"n": n, "a": a, "b": b})
     result = {
-        "n": args.n,
-        "header": f"C_{args.n}({args.a},{args.b})",
+        "n": n,
+        "header": f"C_{n}({a},{b})",
         "reduction": {
             "a_inverse": reduction.a_inverse,
             "raw_c": reduction.raw_c,
@@ -418,39 +384,29 @@ def _cmd_reduce(args, out) -> int:
     }
     report.claim(result, "standard_c", reduction.standard_c, "formula")
     try:
-        g1 = build_circulant(args.n, [args.a, args.b])
-        g2 = build_circulant(args.n, [1, reduction.standard_c])
+        g1 = build_circulant(n, [a, b])
+        g2 = build_circulant(n, [1, reduction.standard_c])
         certified = verify_isomorphism(g1, g2, reduction.vertex_map)
         report.claim(result, "isomorphism_certified", certified, "oracle")
         report.mark(certified)
     except GraphConstructionError as exc:
         report.notes.append(f"certificate skipped (degenerate connection set): {exc}")
     report.results.append(result)
-    return _emit(report, args, out)
+    return report
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args) -> RunReport:
     table = build_formula_table(args.n_from, args.n_to)
-    if args.csv:
-        for line in table.to_csv_lines():
-            print(line, file=out)
-        return EXIT_OK
-    if getattr(args, "json", False):
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": "table",
-            "inputs": {"n_from": args.n_from, "n_to": args.n_to},
-            "results": table.to_dicts(),
-            "summary": {
-                "rows": len(table.rows),
-                "offset_inconsistencies": sum(1 for r in table.rows if not r.offset_consistent),
-            },
-        }
-        print(json.dumps(payload, indent=2), file=out)
-        return EXIT_OK
-    for line in table.to_csv_lines():
-        print(line.replace(",", "\t"), file=out)
-    return EXIT_OK
+    report = RunReport(
+        "table", {"n_from": args.n_from, "n_to": args.n_to}, results=table.to_dicts()
+    )
+    report.csv = table.to_csv_lines()
+    report.text = [line.replace(",", "\t") for line in report.csv]
+    report.summary = {
+        "rows": len(table.rows),
+        "offset_inconsistencies": sum(1 for r in table.rows if not r.offset_consistent),
+    }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -471,76 +427,69 @@ def build_parser() -> argparse.ArgumentParser:
         description="compute and verify total dominator colorings of circulant graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("n", type=int)
+    graph.add_argument("a", type=int, nargs="?", default=None)
+    graph.add_argument("b", type=int, nargs="?", default=None)
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("n_from", type=int)
+    span.add_argument("n_to", type=int)
+    span.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("chidt", help="total dominator chromatic number for one n")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int, nargs="?", default=None)
-    p.add_argument("b", type=int, nargs="?", default=None)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[output, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("chidt", _cmd_chidt, "total dominator chromatic number for one n", graph)
     p.add_argument("--exact", action="store_true", help="also run the exact solver")
     p.add_argument("--construct", action="store_true", help="also emit and verify the coloring")
     p.add_argument("--budget-nodes", type=int, default=SearchBudget().max_nodes)
     p.add_argument("--budget-seconds", type=float, default=SearchBudget().max_seconds)
     p.add_argument("--limit", type=int, default=None, help="override the solver vertex limit")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chidt)
 
-    p = sub.add_parser("sweep", help="formula and construction check over a range of n")
-    p.add_argument("n_from", type=int)
-    p.add_argument("n_to", type=int)
+    p = command("sweep", _cmd_sweep, "formula and construction check over a range of n", span)
     p.add_argument("--exact-up-to", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("invariants", help="independence, open packing, total domination")
+    p = command("invariants", _cmd_invariants, "independence, open packing, total domination")
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true", help="also run brute-force searches")
     p.add_argument("--set", type=str, default=None, help="arbitrary connection set, e.g. 1,4,5")
     p.add_argument("--limit", type=int, default=None, help="override the oracle vertex limit")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("verify-coloring", help="check a coloring file against a graph")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int, nargs="?", default=None)
-    p.add_argument("b", type=int, nargs="?", default=None)
+    p = command(
+        "verify-coloring", _cmd_verify_coloring, "check a coloring file against a graph", graph
+    )
     p.add_argument("coloring_file")
     p.add_argument("--set", type=str, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_coloring)
 
-    p = sub.add_parser("construct", help="print the explicit coloring for one n")
+    p = command("construct", _cmd_construct, "print the explicit coloring for one n")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("reduce", help="standard-form reduction of C_n(a,b)")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
+    p = command("reduce", _cmd_reduce, "standard-form reduction of C_n(a,b)")
+    for name in ("n", "a", "b"):
+        p.add_argument(name, type=int)
 
-    p = sub.add_parser("table", help="closed-form table over a range of n")
-    p.add_argument("n_from", type=int)
-    p.add_argument("n_to", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_table)
+    command("table", _cmd_table, "closed-form table over a range of n", span)
 
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
-    except ValueError as exc:
-        # covers construction, coloring, limit and hypothesis errors alike
+        report = args.func(args)
+    except (ValueError, OSError) as exc:
+        # construction, coloring, limit and hypothesis errors, and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    fmt = "csv" if getattr(args, "csv", False) else "json" if args.json else "text"
+    for line in report.render(fmt):
+        print(line, file=out)
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, ColoringReport, is_tdc
 from .formulas import formula_tdc
-from .graphs import CirculantGraph, standard_circulant
+from .graphs import standard_circulant
 
 
 class ConstructionError(ValueError):
@@ -184,15 +184,14 @@ class ConstructionVerdict:
         }
 
 
-def verify_construction(n: int, g: CirculantGraph | None = None) -> ConstructionVerdict:
+def verify_construction(n: int) -> ConstructionVerdict:
     """Run the total dominator test on the constructed coloring for n.
 
     A failure (not a TDC, or wrong class count) is reported in the verdict,
     never silently dropped.
     """
     plan = construct_tdc(n)
-    graph = g if g is not None else standard_circulant(n)
-    report = is_tdc(graph, plan.coloring)
+    report = is_tdc(standard_circulant(n), plan.coloring)
     return ConstructionVerdict(
         n=n,
         num_classes=len(plan.coloring),

@@ -65,21 +65,6 @@ class InvariantValue:
     witness: tuple[int, ...] | Coloring | None
     agree: bool | None
 
-    def to_dict(self) -> dict:
-        if isinstance(self.witness, Coloring):
-            witness = self.witness.as_lists()
-        elif self.witness is None:
-            witness = None
-        else:
-            witness = list(self.witness)
-        return {
-            "name": self.name,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "witness": witness,
-            "agree": self.agree,
-        }
-
 
 def _combine(name: str, closed: int | None, oracle_val: int, witness) -> InvariantValue:
     agree = None if closed is None else (closed == oracle_val)

@@ -201,17 +201,6 @@ class SearchOutcome:
     elapsed_seconds: float
     levels: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "chi_dt": self.chi_dt,
-            "witness": self.witness.as_lists(),
-            "lower_bound": {"value": self.lower_bound_used, "source": self.lower_bound_source},
-            "upper_bound": {"value": self.upper_bound_used, "source": self.upper_bound_source},
-            "nodes_explored": self.nodes_explored,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "levels": [{"num_colors": k, "status": s} for k, s in self.levels],
-        }
-
 
 def tdc_number_exact(
     g: CirculantGraph,
@@ -262,40 +251,32 @@ def tdc_number_exact(
             # construction is the witness, no search needed at this level
             witness = construction_witness
             levels.append((k, FEASIBLE))
-            return SearchOutcome(
-                chi_dt=k,
-                witness=witness,
-                lower_bound_used=lower,
-                lower_bound_source=lower_source,
-                upper_bound_used=upper,
-                upper_bound_source=upper_source,
-                nodes_explored=nodes_total,
-                elapsed_seconds=time.monotonic() - started,
-                levels=tuple(levels),
-            )
-        outcome = tdc_feasible(g, k, budget)
-        nodes_total += outcome.nodes_explored
-        levels.append((k, outcome.status))
-        if outcome.status == BUDGET_EXCEEDED:
-            raise BudgetExceededError(
-                lower=k,
-                upper=max(upper, k),
-                nodes_explored=nodes_total,
-                elapsed_seconds=time.monotonic() - started,
-            )
-        if outcome.status == FEASIBLE:
+        else:
+            outcome = tdc_feasible(g, k, budget)
+            nodes_total += outcome.nodes_explored
+            levels.append((k, outcome.status))
+            if outcome.status == BUDGET_EXCEEDED:
+                raise BudgetExceededError(
+                    lower=k,
+                    upper=max(upper, k),
+                    nodes_explored=nodes_total,
+                    elapsed_seconds=time.monotonic() - started,
+                )
+            if outcome.status != FEASIBLE:
+                continue
             assert outcome.coloring is not None
-            report = is_tdc(g, outcome.coloring)
+            witness = outcome.coloring
+            report = is_tdc(g, witness)
             assert report.tdc, "search returned a non-TDC witness"
-            return SearchOutcome(
-                chi_dt=k,
-                witness=outcome.coloring,
-                lower_bound_used=lower,
-                lower_bound_source=lower_source,
-                upper_bound_used=max(upper, k),
-                upper_bound_source=upper_source,
-                nodes_explored=nodes_total,
-                elapsed_seconds=time.monotonic() - started,
-                levels=tuple(levels),
-            )
+        return SearchOutcome(
+            chi_dt=k,
+            witness=witness,
+            lower_bound_used=lower,
+            lower_bound_source=lower_source,
+            upper_bound_used=max(upper, k),
+            upper_bound_source=upper_source,
+            nodes_explored=nodes_total,
+            elapsed_seconds=time.monotonic() - started,
+            levels=tuple(levels),
+        )
     raise AssertionError("unreachable: the all-singletons coloring is always a TDC")

@@ -131,3 +131,11 @@ def tdc_feasible_plain(n, adj, num_colors):
         return False
 
     return rec(1, 0)
+
+
+def is_isomorphism(n, adj1, adj2, images):
+    """Pair by pair: {i,j} is an edge of adj1 exactly when its image is one of adj2."""
+    return all(
+        (j in adj1[i]) == (images[j] in adj2[images[i]])
+        for i, j in combinations(range(1, n + 1), 2)
+    )

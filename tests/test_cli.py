@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from circulant_tdc import Coloring, build_circulant, is_tdc
+from circulant_tdc import BudgetExceededError, Coloring, build_circulant, is_tdc
+from circulant_tdc import cli
 from circulant_tdc.cli import main
 
 
@@ -89,6 +90,22 @@ class TestSweep:
         code, _ = run_cli("sweep", "10", "6")
         assert code == 1
 
+    def test_csv_survives_budget_stop(self, monkeypatch):
+        search = cli.tdc_number_exact
+
+        def stop_at_10(graph, **kwargs):
+            if graph.n == 10:
+                raise BudgetExceededError(lower=3, upper=4, nodes_explored=0, elapsed_seconds=0.0)
+            return search(graph, **kwargs)
+
+        monkeypatch.setattr(cli, "tdc_number_exact", stop_at_10)
+        code, out = run_cli("sweep", "6", "10", "--exact-up-to", "10", "--csv")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("n,chi_dt_formula")
+        assert all(len(line.split(",")) == 6 for line in lines)
+        assert [line.split(",")[0] for line in lines[1:]] == ["6", "7", "8", "9"]
+
 
 class TestInvariants:
     def test_oracle_agreement(self):
@@ -154,6 +171,22 @@ class TestVerifyColoring:
         code, _ = run_cli("verify-coloring", "8", "/nonexistent/coloring.json")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text,label",
+        [
+            ('[["a"],[2]]', '"a"'),
+            ("[[1.0,3,5,7],[2,4,6,8]]", "1.0"),
+            ("[[true,3,5,7],[2,4,6,8]]", "true"),
+        ],
+        ids=["string", "float", "bool"],
+    )
+    def test_rejects_non_integer_labels(self, tmp_path, capsys, text, label):
+        f = tmp_path / "c.json"
+        f.write_text(text)
+        code, out = run_cli("verify-coloring", "8", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {f}: class 1: label {label} is not an integer\n"
+
 
 class TestConstructReduceTable:
     def test_construct_prints_classes(self):
@@ -193,3 +226,51 @@ class TestConstructReduceTable:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["offset_inconsistencies"] == 0
+
+
+class TestContract:
+    """What every command promises, whatever it computes."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chidt", "7", "2"],
+            ["chidt", "8", "2", "6"],
+            ["sweep", "10", "6"],
+            ["reduce", "9", "3", "1"],
+            ["construct", "5"],
+            ["table", "5", "9"],
+            ["verify-coloring", "8", "/nonexistent/coloring.json"],
+            ["verify-coloring", "8", "MALFORMED"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_input_error_writes_only_stderr(self, tmp_path, capsys, argv, fmt):
+        malformed = tmp_path / "c.json"
+        malformed.write_text("[[1,3,5,7],[2,4,6,8]")
+        argv = [str(malformed) if arg == "MALFORMED" else arg for arg in argv]
+        code, out = run_cli(*argv, *fmt)
+        captured = capsys.readouterr()
+        assert (code, out, captured.out) == (1, "", "")
+        assert captured.err.startswith("error: ")
+
+    def test_budget_stop_json(self):
+        code, out = run_cli("chidt", "17", "--exact", "--budget-nodes", "20", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        bracket = payload["results"][0]["bracket"]
+        assert bracket
+        assert any(str(bracket) in note for note in payload["summary"]["notes"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chidt", "9"], ["sweep", "6", "8"], ["construct", "12"], ["reduce", "11", "4", "1"],
+         ["table", "7", "9"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_summary_has_standard_keys(self, argv):
+        code, out = run_cli(*argv, "--json")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert {"agreements", "disagreements", "notes", "elapsed_seconds"} <= set(summary)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import gcd
 
@@ -168,6 +169,35 @@ class TestVerifyIsomorphism:
         g1 = build_circulant(7, [2, 6])
         g2 = build_circulant(7, [1, 3])
         assert verify_isomorphism(g1, g2, lambda x: (4 * x) % 7 or 7)
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_matches_pair_loop(self, n):
+        """Neighborhood masks agree with the pair loop on random bijections."""
+        rng = random.Random(n)
+        verdicts = set()
+        for _ in range(20):
+            a = rng.choice([x for x in range(1, n) if gcd(x, n) == 1])
+            r = reduce_to_standard(n, a, rng.randrange(1, n))
+            d1 = oracles.normalized_distances(n, [a, r.b])
+            d2 = oracles.normalized_distances(n, [1, r.standard_c])
+            g1, g2 = build_circulant(n, sorted(d1)), build_circulant(n, sorted(d2))
+            shift = rng.randrange(n)
+            swapped = dict(r.vertex_map)
+            i, j = rng.sample(range(1, n + 1), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            shuffled = list(range(1, n + 1))
+            rng.shuffle(shuffled)
+            for images in (
+                # x -> a^-1 x + shift is an isomorphism: C_n(1,c) is rotation-invariant
+                {x: (y + shift - 1) % n + 1 for x, y in r.vertex_map.items()},
+                swapped,
+                dict(zip(range(1, n + 1), shuffled)),
+            ):
+                adj1, adj2 = oracles.neighbors(n, d1), oracles.neighbors(n, d2)
+                expected = oracles.is_isomorphism(n, adj1, adj2, images)
+                assert verify_isomorphism(g1, g2, images) == expected, (n, a, r.b, images)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_all_reductions_small(self, n):
