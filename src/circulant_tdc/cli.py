@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, ColoringError, is_tdc
-from .constructions import ConstructionVerdict, construct_tdc
+from .constructions import verify_construction
 from .formulas import build_formula_table, formula_tdc, formula_tdc_general
 from .graphs import (
     CirculantGraph,
@@ -142,26 +143,6 @@ def _build_graph(n: int, pair: tuple[int, int] | None, conn: str | None = None) 
     return standard_circulant(n) if pair is None else build_circulant(n, list(pair))
 
 
-def _check_construction(report, n, graph=None, reduction=None):
-    """Build the C_n(1,3) construction once and test it on `graph` (default C_n(1,3)).
-
-    With a reduction, each class S is pulled back to {x : a^{-1}x in S}, a
-    coloring of C_n(a,b).  Marks the verdict on the report and returns the
-    ConstructionPlan, the coloring that was tested and its ConstructionVerdict.
-    """
-    plan = construct_tdc(n)
-    coloring = plan.coloring
-    if reduction is not None:
-        image = reduction.vertex_map
-        coloring = Coloring.from_classes(
-            n, [{x for x in image if image[x] in cls} for cls in coloring.classes]
-        )
-    graph = graph if graph is not None else standard_circulant(n)
-    verdict = ConstructionVerdict(n, len(coloring), formula_tdc(n), is_tdc(graph, coloring))
-    report.mark(verdict.ok)
-    return plan, coloring, verdict
-
-
 def _check_exact(report, result, graph, formula_value, where="", **search):
     """tdc_number_exact(graph, **search), marked against the formula.
 
@@ -205,18 +186,19 @@ def _cmd_chidt(args) -> RunReport:
             f"C_{n}({args.a},{args.b}) reduces to C_{n}(1,{reduction.standard_c}) "
             f"via x -> {reduction.a_inverse}x mod {n} ({reduction.congruence} congruence)"
         )
-    graph = _build_graph(n, pair)
     if n == 6:
         report.notes.append("n=6 is covered by the standard-graph statement only")
     report.claim(result, "chi_dt", formula_value, "formula")
 
     if args.construct:
-        _, coloring, verdict = _check_construction(report, n, graph, reduction)
-        tdc, classes = verdict.report.tdc, coloring.as_lists()
-        report.claim(result, "chi_dt", len(coloring), "construction", tdc=tdc, classes=classes)
+        verdict = verify_construction(n, reduction)
+        report.mark(verdict.ok)
+        tdc, classes = verdict.report.tdc, verdict.coloring.as_lists()
+        report.claim(result, "chi_dt", len(classes), "construction", tdc=tdc, classes=classes)
 
     if args.exact:
         budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+        graph = _build_graph(n, pair)
         outcome = _check_exact(
             report, result, graph, formula_value, budget=budget, limit=args.limit
         )
@@ -245,15 +227,16 @@ def _cmd_sweep(args) -> RunReport:
     report.csv.append("n,chi_dt_formula,construction_classes,construction_tdc,exact,agree")
     for n in range(args.n_from, args.n_to + 1):
         formula_value = formula_tdc(n)
-        graph = standard_circulant(n)
         result: dict = {"n": n, "header": f"n={n}"}
         report.results.append(result)
         report.claim(result, "chi_dt", formula_value, "formula")
-        _, _, verdict = _check_construction(report, n, graph)
+        verdict = verify_construction(n)
+        report.mark(verdict.ok)
         tdc = verdict.report.tdc
         report.claim(result, "chi_dt", verdict.num_classes, "construction", tdc=tdc)
         agree, exact = verdict.ok, ""
         if args.exact_up_to is not None and n <= args.exact_up_to:
+            graph = standard_circulant(n)
             outcome = _check_exact(
                 report, result, graph, formula_value, f"n={n}: ", limit=args.exact_up_to
             )
@@ -317,13 +300,14 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
         return Coloring.from_classes(n, data)
     classes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        try:
-            classes.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ColoringError(f"line {lineno}: {exc}") from exc
+        # int() would also read "+8", "0_8" and non-ASCII digits
+        bad = [tok for tok in tokens if not re.fullmatch(r"-?[0-9]+", tok)]
+        if bad:
+            raise ColoringError(f"line {lineno}: label {bad[0]!r} is not an integer")
+        classes.append([int(tok) for tok in tokens])
     return Coloring.from_classes(n, classes)
 
 
@@ -353,15 +337,16 @@ def _cmd_verify_coloring(args) -> RunReport:
 def _cmd_construct(args) -> RunReport:
     n = args.n
     report = RunReport("construct", {"n": n})
-    plan, coloring, verdict = _check_construction(report, n)
-    result = {"n": n, "header": f"n={n}", "plan": plan.to_dict()}
+    verdict = verify_construction(n)
+    report.mark(verdict.ok)
+    result = {"n": n, "header": f"n={n}", "plan": verdict.plan.to_dict()}
     report.claim(result, "num_classes", verdict.num_classes, "construction")
     report.claim(result, "chi_dt", verdict.expected_classes, "formula")
     report.claim(result, "tdc", verdict.report.tdc, "construction")
     report.results.append(result)
     report.text = [
         f"n={n}  classes ({verdict.num_classes}):",
-        *("  {" + ", ".join(map(str, cls)) + "}" for cls in coloring.as_lists()),
+        *("  {" + ", ".join(map(str, cls)) + "}" for cls in verdict.coloring.as_lists()),
         f"tdc={verdict.report.tdc}  expected_classes={verdict.expected_classes}  ok={verdict.ok}",
     ]
     return report

@@ -191,15 +191,13 @@ def class_size_capacity_check(g: CirculantGraph, coloring: Coloring) -> bool:
     """
     if not is_standard_13(g) or g.n < 9:
         raise ValueError("capacity check applies to the standard distance-{1,3} graph with n >= 9")
-    _require_same_order(g, coloring)
-    if not is_proper(g, coloring):
+    report = is_tdc(g, coloring)
+    if not report.proper:
         raise ColoringError("capacity check requires a proper coloring")
-    for cls in coloring.classes:
-        size = len(cls)
-        cn_size = len(common_neighborhood(g, cls))
-        if size <= 4 and size + cn_size > 5:
+    for rec in report.classes:
+        if rec.size <= 4 and rec.size + rec.cn_size > 5:
             return False
-        if size >= 5 and cn_size != 0:
+        if rec.size >= 5 and rec.cn_size != 0:
             return False
     return True
 

@@ -3,12 +3,17 @@ one per n >= 6, with exactly formula_tdc(n) classes.
 
 For n = 6 the coloring is the odd/even bipartition (the graph is K_{3,3});
 for 7 <= n <= 11 the classes are a fixed table; for n >= 12 a residue-class
-scheme applies: the vertices of the open packing L = {8i+1, 8i+2 : 0 <= i < k},
-k = n // 8, become singleton classes, a handful of sets near the wrap
-boundary {n-7 .. n} become classes of their own, and the remaining odd and
-even vertices form the last two classes.  For residues 3, 5 and 7 a few
-boundary vertices switch parity class to dodge the wraparound edges; those
-vertices are removed from their source class so the classes stay disjoint.
+scheme of period 8 applies.  The vertices of the open packing
+L = {8i+1, 8i+2 : 0 <= i < k}, k = n // 8, become singleton classes.  Then
+_RESIDUE_TABLE gives, for r = n % 8, the tail classes near the wrap boundary
+{n-7 .. n} as offsets below n, and the offsets of the vertices M that change
+parity class (M is empty except for r = 3, 5, 7, where it dodges the
+wraparound edges).  With T the packing plus the tails, the last two classes
+are (odd - T - M) | (even & M) and (even - T - M) | (odd & M), so the classes
+stay disjoint.
+
+verify_construction is the one place that builds a construction and tests
+it, on C_n(1,3) or, through a reduction, on C_n(a,b).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, ColoringReport, is_tdc
 from .formulas import formula_tdc
-from .graphs import standard_circulant
+from .graphs import ReductionResult, build_circulant, standard_circulant
 
 
 class ConstructionError(ValueError):
@@ -63,66 +68,38 @@ class ConstructionPlan:
         }
 
 
-def _tail(n: int, *offsets: int) -> frozenset[int]:
+# Row r = n % 8: (tail classes as offsets below n, offsets whose vertex moves
+# to the other parity's leftover class).  Moves keep the leftovers proper
+# across the wraparound: for odd n, vertex n is adjacent to the odd vertices
+# 1 and 3.
+_RESIDUE_TABLE: tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...] = (
+    ((), ()),  # r = 0
+    (((6, 4, 2, 0),), ()),  # r = 1
+    (((6, 4, 2, 0), (7, 5, 3, 1)), ()),  # r = 2
+    (((7, 5, 3, 1), (6, 4, 2)), (0,)),  # r = 3
+    (((6, 4, 2), (7, 5, 3)), ()),  # r = 4
+    (((7, 5, 3), (6, 4)), (2, 1, 0)),  # r = 5
+    (((6, 4), (7, 5)), ()),  # r = 6
+    (((6,), (7, 5)), (4, 3, 2, 1, 0)),  # r = 7
+)
+
+
+def _tail(n: int, offsets: tuple[int, ...]) -> frozenset[int]:
     return frozenset(n - o for o in offsets)
 
 
 def _residue_classes(n: int) -> tuple[frozenset[int], list[frozenset[int]]]:
-    """Open packing plus ordered class list for n >= 12."""
+    """Open packing plus ordered class list for n >= 12, read off _RESIDUE_TABLE."""
     k, r = divmod(n, 8)
+    tail_offsets, move_offsets = _RESIDUE_TABLE[r]
     packing = frozenset(v for i in range(k) for v in (8 * i + 1, 8 * i + 2))
+    tail = [_tail(n, offsets) for offsets in tail_offsets]
+    taken = packing.union(*tail)
+    moved = _tail(n, move_offsets)
     odd = frozenset(range(1, n + 1, 2))
     even = frozenset(range(2, n + 1, 2))
-    # boundary sets at even/odd offsets from n; "same" shares n's parity
-    quad_same = _tail(n, 6, 4, 2, 0)   # {n-6, n-4, n-2, n}
-    quad_other = _tail(n, 7, 5, 3, 1)  # {n-7, n-5, n-3, n-1}
-    tri_same = _tail(n, 6, 4, 2)
-    tri_other = _tail(n, 7, 5, 3)
-    pair_same = _tail(n, 6, 4)
-    pair_other = _tail(n, 7, 5)
-
-    if r == 0:
-        tail = [odd - packing, even - packing]
-    elif r == 1:
-        # n odd, quad_same is odd
-        tail = [quad_same, odd - packing - quad_same, even - packing]
-    elif r == 2:
-        tail = [
-            quad_same,
-            quad_other,
-            odd - packing - quad_other,
-            even - packing - quad_same,
-        ]
-    elif r == 3:
-        # vertex n moves from the odd leftover into the even leftover
-        tail = [
-            quad_other,
-            tri_same,
-            odd - packing - tri_same - {n},
-            (even - packing - quad_other) | {n},
-        ]
-    elif r == 4:
-        tail = [tri_same, tri_other, odd - packing - tri_other, even - packing - tri_same]
-    elif r == 5:
-        # n-1 joins the odd leftover; n-2 and n join the even leftover
-        tail = [
-            tri_other,
-            pair_same,
-            (odd - packing - pair_same - {n - 2, n}) | {n - 1},
-            (even - packing - tri_other - {n - 1}) | {n - 2, n},
-        ]
-    elif r == 6:
-        tail = [pair_same, pair_other, odd - packing - pair_other, even - packing - pair_same]
-    else:  # r == 7
-        # n-3 and n-1 join the odd leftover; n-4, n-2 and n join the even leftover
-        tail = [
-            frozenset({n - 6}),
-            pair_other,
-            (odd - packing - {n - 6, n - 4, n - 2, n}) | {n - 3, n - 1},
-            (even - packing - pair_other - {n - 3, n - 1}) | {n - 4, n - 2, n},
-        ]
-
-    classes = [frozenset({v}) for v in sorted(packing)] + tail
+    leftovers = [(odd - taken - moved) | (even & moved), (even - taken - moved) | (odd & moved)]
+    classes = [frozenset({v}) for v in sorted(packing)] + tail + leftovers
     return packing, classes
 
 
@@ -157,44 +134,45 @@ def construct_tdc(n: int) -> ConstructionPlan:
 class ConstructionVerdict:
     """Structured result of checking one constructed coloring.
 
-    ok requires the coloring to pass the total dominator test with exactly
-    the closed-form class count.
+    `coloring` is the coloring that was tested: the plan's classes, or their
+    pull-back when a reduction was given.  ok requires it to pass the total
+    dominator test with exactly the closed-form class count.
     """
 
-    n: int
-    num_classes: int
     expected_classes: int
+    plan: ConstructionPlan
+    coloring: Coloring
     report: ColoringReport
 
     @property
-    def class_count_ok(self) -> bool:
-        return self.num_classes == self.expected_classes
+    def num_classes(self) -> int:
+        return len(self.coloring)
 
     @property
     def ok(self) -> bool:
-        return self.report.tdc and self.class_count_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_classes": self.num_classes,
-            "expected_classes": self.expected_classes,
-            "tdc": self.report.tdc,
-            "ok": self.ok,
-        }
+        return self.report.tdc and self.num_classes == self.expected_classes
 
 
-def verify_construction(n: int) -> ConstructionVerdict:
-    """Run the total dominator test on the constructed coloring for n.
+def verify_construction(n: int, reduction: ReductionResult | None = None) -> ConstructionVerdict:
+    """Build the construction for n once and run the total dominator test on it.
 
-    A failure (not a TDC, or wrong class count) is reported in the verdict,
-    never silently dropped.
+    Without a reduction the test runs on C_n(1,3).  With the reduction of
+    C_n(a,b) to C_n(1,3), each class S is pulled back to {x : a^{-1}x in S},
+    a coloring of C_n(a,b), and the test runs there.  A failure (not a TDC,
+    or wrong class count) is reported in the verdict, never silently dropped.
     """
     plan = construct_tdc(n)
-    report = is_tdc(standard_circulant(n), plan.coloring)
+    if reduction is None:
+        coloring, graph = plan.coloring, standard_circulant(n)
+    else:
+        image = reduction.vertex_map
+        coloring = Coloring.from_classes(
+            n, [{x for x in image if image[x] in cls} for cls in plan.classes]
+        )
+        graph = build_circulant(n, [reduction.a, reduction.b])
     return ConstructionVerdict(
-        n=n,
-        num_classes=len(plan.coloring),
         expected_classes=formula_tdc(n),
-        report=report,
+        plan=plan,
+        coloring=coloring,
+        report=is_tdc(graph, coloring),
     )

@@ -186,13 +186,6 @@ class PackingShape:
     induced_edges: tuple[tuple[int, int], ...]
     isolated: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "induced_edges": [list(e) for e in self.induced_edges],
-            "isolated": list(self.isolated),
-        }
-
 
 @dataclass(frozen=True)
 class PackingStructureReport:
@@ -208,17 +201,6 @@ class PackingStructureReport:
     expected_isolated: int
     packings: tuple[PackingShape, ...]
     conforms: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "packing_number": self.packing_number,
-            "expected_edges": self.expected_edges,
-            "expected_isolated": self.expected_isolated,
-            "num_maximum_packings": len(self.packings),
-            "conforms": self.conforms,
-            "packings": [p.to_dict() for p in self.packings],
-        }
 
 
 def max_open_packing_structure(

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, is_tdc
-from .constructions import construct_tdc
+from .constructions import verify_construction
 from .graphs import CirculantGraph, is_standard_13
 from .invariants import chromatic_number_oracle, total_domination_number_oracle
 
@@ -100,15 +100,11 @@ def tdc_feasible(
     degree = g.degree
 
     # has_future_neighbor[v] = vertices with at least one neighbor among the
-    # still-uncolored suffix {v+1..n} (0-based: bits v..n-1)
-    has_future_neighbor = []
-    for v in range(n + 1):
-        suffix = full & ~((1 << v) - 1)
-        m = 0
-        for u in range(n):
-            if nbr[u] & suffix:
-                m |= 1 << u
-        has_future_neighbor.append(m)
+    # still-uncolored suffix {v+1..n} (0-based: bits v..n-1); adjacency is
+    # symmetric, so that is the union of the suffix's neighborhoods
+    has_future_neighbor = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        has_future_neighbor[v] = has_future_neighbor[v + 1] | nbr[v]
 
     member = [0] * (num_colors + 1)
     cn = [full] * (num_colors + 1)
@@ -235,11 +231,10 @@ def tdc_number_exact(
 
     construction_witness: Coloring | None = None
     if is_standard_13(g) and g.n >= 6:
-        plan = construct_tdc(g.n)
-        report = is_tdc(g, plan.coloring)
-        assert report.tdc, f"construction for n={g.n} failed its own verification"
-        construction_witness = plan.coloring
-        upper, upper_source = len(plan.coloring), "construction"
+        verdict = verify_construction(g.n)
+        assert verdict.report.tdc, f"construction for n={g.n} failed its own verification"
+        construction_witness = verdict.coloring
+        upper, upper_source = verdict.num_classes, "construction"
     else:
         upper, upper_source = gamma_t + chi, "total-domination+chromatic"
 

@@ -84,7 +84,7 @@ def test_criterion_2_constructions_6_to_1000():
     for n in range(6, 1001):
         verdict = verify_construction(n)
         if not verdict.ok:
-            failures.append((n, verdict.to_dict()))
+            failures.append((n, verdict))
     _report(2, "constructions verify with exact class counts for n=6..1000", not failures)
     assert not failures, failures[:5]
 

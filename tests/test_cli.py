@@ -187,6 +187,17 @@ class TestVerifyColoring:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"error: {f}: class 1: label {label} is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "label", ["+8", "0_8", "٨"], ids=["plus-sign", "underscore", "arabic-indic-digit"]
+    )
+    def test_text_labels_are_ascii_digits(self, tmp_path, capsys, label):
+        # int() reads each of these labels as 8
+        f = tmp_path / "c.txt"
+        f.write_text(f"1 3 5 7\n2 4 6 {label}\n", encoding="utf-8")
+        code, out = run_cli("verify-coloring", "8", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {f}: line 2: label {label!r} is not an integer\n"
+
 
 class TestConstructReduceTable:
     def test_construct_prints_classes(self):

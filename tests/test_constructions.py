@@ -83,7 +83,7 @@ class TestVerifyConstruction:
     def test_sweep_small(self):
         for n in range(6, 200):
             verdict = verify_construction(n)
-            assert verdict.ok, (n, verdict.to_dict())
+            assert verdict.ok, (n, verdict)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
