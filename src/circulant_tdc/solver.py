@@ -13,6 +13,13 @@ member masks.  Two sound forward checks prune the tree:
   total dominator coloring, each bounded by the current size (nonempty
   classes) or the graph degree (classes still empty).
 
+Both are kept incrementally, so a child node costs O(1) unless its class
+loses common neighbors: the search carries the union of the common
+neighborhoods and the counting slack (sizes summed, minus n) down the
+recursion and updates them only for the class that changed.  The O(1)
+counting test runs first; the coverage union is rebuilt, over the other
+classes, only for a child that passes it and whose class lost vertices.
+
 Neither check assumes anything beyond the graph being regular of known
 degree, so verdicts are search-exact.  tdc_number_exact scans class counts
 upward from max(chromatic number, total domination number); minimality never
@@ -49,10 +56,21 @@ class SolverLimitError(ValueError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Per-level search budget; whichever of nodes or seconds runs out first."""
+    """Per-level search budget; whichever of nodes or seconds runs out first.
+
+    The deadline is polled every 4096 nodes, so a level may overrun it by up
+    to that many nodes.  Rejects max_nodes < 1 and a max_seconds that is NaN
+    or not positive.
+    """
 
     max_nodes: int = 10**8
     max_seconds: float = 300.0
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 1:
+            raise ValueError(f"node budget must be at least 1, got {self.max_nodes}")
+        if not self.max_seconds > 0:
+            raise ValueError(f"time budget must be positive seconds, got {self.max_seconds}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,12 @@ class _BudgetHit(Exception):
 def tdc_feasible(
     g: CirculantGraph, num_colors: int, budget: SearchBudget | None = None
 ) -> FeasibilityOutcome:
-    """Search for a total dominator coloring with at most `num_colors` classes."""
+    """Search for a total dominator coloring with at most `num_colors` classes.
+
+    Every child node counts toward the node budget once it passes the
+    properness test; the O(1) counting bound is then tested before the
+    coverage union is built.  A budget stop returns BUDGET_EXCEEDED.
+    """
     if not (1 <= num_colors <= g.n):
         raise ValueError(f"need 1 <= num_colors <= {g.n}, got {num_colors}")
     budget = budget or SearchBudget()
@@ -108,52 +131,66 @@ def tdc_feasible(
 
     member = [0] * (num_colors + 1)
     cn = [full] * (num_colors + 1)
+    max_nodes = budget.max_nodes
     nodes = 0
-    deadline = time.monotonic() + budget.max_seconds
+    # both budgets are tested when nodes reaches poll: every 4096 nodes for
+    # the deadline, and at max_nodes + 1 for the node budget
+    poll = min(0x1000, max_nodes + 1)
     start = time.monotonic()
+    deadline = start + budget.max_seconds
 
-    def rec(v: int, used: int) -> list[int] | None:
-        nonlocal nodes
+    def rec(v: int, used: int, slack: int, cover: int) -> list[int] | None:
+        # cover = union of cn[1..used]; slack = sum of |cn[1..used]| plus
+        # degree per empty class, minus n: the counting bound fails below 0
+        nonlocal nodes, poll
         if v == n:
-            union = 0
-            for c in range(1, used + 1):
-                union |= cn[c]
-            if union == full:
-                return member[1 : used + 1]
-            return None
+            return member[1 : used + 1] if cover == full else None
         bit = 1 << v
         nv = nbr[v]
-        top = used + 1 if used < num_colors else num_colors
-        for c in range(1, top + 1):
-            if member[c] & nv:
+        outside = full ^ nv
+        future = has_future_neighbor[v + 1]
+        for c in range(1, (used + 1 if used < num_colors else num_colors) + 1):
+            saved_member = member[c]
+            if saved_member & nv:
                 continue
             nodes += 1
-            if nodes > budget.max_nodes:
-                raise _BudgetHit
-            if not nodes & 0xFFF and time.monotonic() > deadline:
-                raise _BudgetHit
-            saved_member, saved_cn = member[c], cn[c]
+            if nodes == poll:
+                if nodes > max_nodes or time.monotonic() > deadline:
+                    raise _BudgetHit
+                poll = min(nodes + 0x1000, max_nodes + 1)
+            saved_cn = cn[c]
+            if c > used:
+                # a new class's common neighborhood is N(v), of size degree
+                if slack < 0:
+                    continue
+                now_used, now_slack, new_cn = c, slack, nv
+                now_cover = cover | nv
+            else:
+                lost = saved_cn & outside
+                if lost:
+                    now_slack = slack - lost.bit_count()
+                    if now_slack < 0:
+                        continue
+                    new_cn = saved_cn ^ lost
+                    now_cover = new_cn
+                    for d in range(1, used + 1):
+                        if d != c:
+                            now_cover |= cn[d]
+                else:
+                    now_slack, new_cn, now_cover = slack, saved_cn, cover
+                now_used = used
+            if (now_cover if now_used == num_colors else now_cover | future) != full:
+                continue
             member[c] = saved_member | bit
-            cn[c] = saved_cn & nv
-            now_used = used + 1 if c > used else used
-            union = 0
-            cn_total = 0
-            for d in range(1, now_used + 1):
-                union |= cn[d]
-                cn_total += cn[d].bit_count()
-            reachable = union
-            if now_used < num_colors:
-                reachable |= has_future_neighbor[v + 1]
-            if reachable == full and cn_total + degree * (num_colors - now_used) >= n:
-                result = rec(v + 1, now_used)
-                if result is not None:
-                    member[c], cn[c] = saved_member, saved_cn
-                    return result
+            cn[c] = new_cn
+            result = rec(v + 1, now_used, now_slack, now_cover)
             member[c], cn[c] = saved_member, saved_cn
+            if result is not None:
+                return result
         return None
 
     try:
-        masks = rec(0, 0)
+        masks = rec(0, 0, degree * num_colors - n, 0)
     except _BudgetHit:
         return FeasibilityOutcome(
             status=BUDGET_EXCEEDED,

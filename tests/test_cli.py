@@ -55,6 +55,17 @@ class TestChidt:
         assert code == 1
         assert "bracket" in out
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--budget-nodes", "0"), ("--budget-nodes", "-5"), ("--budget-seconds", "nan"),
+         ("--budget-seconds", "0"), ("--budget-seconds", "-1")],
+    )
+    def test_rejects_bad_budget(self, capsys, option, value):
+        code, out = run_cli("chidt", "12", "--exact", option, value)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_exact_disagreement_found_at_18(self):
         # exact search proves 7 while the closed form says 8
         code, out = run_cli("chidt", "18", "--exact")

@@ -32,6 +32,29 @@ class TestFeasibility:
         assert out.status == "budget_exceeded"
         assert out.coloring is None
 
+    @pytest.mark.parametrize("max_nodes", [1, 5, 777, 4095, 4096, 20000, 54342])
+    def test_node_budget_stops_at_the_next_node(self, max_nodes):
+        # the node that exceeds the budget is counted, then the search stops
+        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_nodes=max_nodes))
+        assert (out.status, out.nodes_explored) == ("budget_exceeded", max_nodes + 1)
+
+    def test_node_budget_equal_to_the_tree_is_enough(self):
+        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_nodes=54343))
+        assert (out.status, out.nodes_explored) == ("infeasible", 54343)
+
+    def test_deadline_is_polled_every_4096_nodes(self):
+        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_seconds=1e-9))
+        assert (out.status, out.nodes_explored) == ("budget_exceeded", 4096)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_nodes", 0), ("max_nodes", -5), ("max_seconds", float("nan")),
+         ("max_seconds", 0.0), ("max_seconds", -1.0)],
+    )
+    def test_rejects_bad_budget(self, field, value):
+        with pytest.raises(ValueError, match="budget"):
+            SearchBudget(**{field: value})
+
     def test_rejects_bad_color_count(self):
         with pytest.raises(ValueError):
             tdc_feasible(standard_circulant(9), 0)
@@ -47,6 +70,65 @@ class TestFeasibility:
             fast = tdc_feasible(g, k).status == "feasible"
             plain = oracles.tdc_feasible_plain(n, adj, k)
             assert fast == plain, (n, k)
+
+
+# (n, connection set, k) -> (status, nodes_explored, witness classes).  Any
+# change to the branching order or to the pruning tests moves these numbers;
+# a change that only makes nodes cheaper must keep them.
+SEARCH_TREE = {
+    (12, (1, 3), 5): ("infeasible", 1522, None),
+    (12, (1, 3), 6): ("feasible", 18, [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11], [12]]),
+    (16, (1, 3), 6): (
+        "feasible", 151, [[1, 3, 5, 9, 11, 13], [2, 4, 6, 10, 12, 14], [7], [8], [15], [16]]
+    ),
+    (20, (1, 3), 7): ("infeasible", 54343, None),
+    (20, (1, 3), 8): (
+        "feasible",
+        57,
+        [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11, 13, 15, 17], [12, 14, 16, 18], [19], [20]],
+    ),
+    (13, (2, 6), 5): ("infeasible", 986, None),
+    (17, (2, 6), 7): (
+        "feasible", 26, [[1, 2, 5, 6, 9, 10], [3, 4, 7, 8, 11, 12], [13], [14], [15], [16], [17]]
+    ),
+    (14, (1, 4), 6): ("feasible", 40, [[1, 3, 6, 12], [2, 4, 7, 13], [5, 8, 14], [9], [10], [11]]),
+    (18, (1, 4), 7): ("infeasible", 89188, None),
+    (18, (1, 4), 8): (
+        "feasible",
+        1631,
+        [[1, 3, 6, 16], [2, 4, 7, 12, 14], [5, 8, 13, 15], [9], [10], [11], [17], [18]],
+    ),
+    (20, (1, 4), 7): ("infeasible", 17911, None),
+    (16, (2, 5), 6): ("infeasible", 5411, None),
+    (16, (2, 5), 7): (
+        "feasible", 6079, [[1, 2, 5, 11], [3, 6, 12, 15], [4, 7, 13, 16], [8], [9], [10], [14]]
+    ),
+    (19, (2, 5), 7): ("infeasible", 45682, None),
+    (19, (2, 5), 8): (
+        "feasible",
+        4002,
+        [[1, 2, 5, 9, 13, 17], [3, 4, 7, 11, 15, 19], [6, 18], [8], [10], [12], [14], [16]],
+    ),
+}
+
+# total nodes of tdc_number_exact(standard_circulant(n)) over the levels it searches
+EXACT_NODES = {
+    6: 0, 7: 0, 8: 0, 9: 11, 10: 0, 11: 88, 12: 1581, 13: 1084, 14: 716, 15: 425,
+    16: 240, 17: 5839, 18: 3251, 19: 109811, 20: 55066,
+}
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize("level", sorted(SEARCH_TREE), ids=str)
+    def test_level_is_pinned(self, level):
+        n, connection_set, k = level
+        out = tdc_feasible(build_circulant(n, connection_set), k)
+        witness = out.coloring.as_lists() if out.coloring else None
+        assert (out.status, out.nodes_explored, witness) == SEARCH_TREE[level]
+
+    def test_exact_node_totals_are_pinned(self):
+        nodes = {n: tdc_number_exact(standard_circulant(n)).nodes_explored for n in EXACT_NODES}
+        assert nodes == EXACT_NODES
 
 
 class TestExactValue:
