@@ -139,6 +139,8 @@ def _pair(args) -> tuple[int, int] | None:
 def _build_graph(n: int, pair: tuple[int, int] | None, conn: str | None = None) -> CirculantGraph:
     """n alone -> standard graph; n a b -> C_n(a,b); --set -> arbitrary circulant."""
     if conn is not None:
+        if pair is not None:
+            raise ValueError("give either a b or --set, not both")
         return build_circulant(n, [int(tok) for tok in conn.replace(",", " ").split()])
     return standard_circulant(n) if pair is None else build_circulant(n, list(pair))
 

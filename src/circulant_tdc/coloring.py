@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Collection, Iterable
 
-from .graphs import CirculantGraph, is_standard_13, mask_to_vertices, vertices_to_mask
+from .graphs import CirculantGraph, is_standard_13
 
 
 class ColoringError(ValueError):
@@ -116,15 +118,44 @@ def _require_same_order(g: CirculantGraph, coloring: Coloring) -> None:
         raise ColoringError(f"coloring is on {coloring.n} vertices, graph on {g.n}")
 
 
-def is_proper(g: CirculantGraph, coloring: Coloring) -> bool:
-    """True iff no edge of g joins two vertices of the same class."""
-    _require_same_order(g, coloring)
-    for cls in coloring.classes:
-        mask = vertices_to_mask(cls)
+def _color_array(coloring: Coloring) -> list[int]:
+    """color[v-1] = 0-based index of the class holding vertex v."""
+    color = [0] * coloring.n
+    for idx, cls in enumerate(coloring.classes):
         for v in cls:
-            if g.neighbor_mask(v) & mask:
-                return False
-    return True
+            color[v - 1] = idx
+    return color
+
+
+def is_proper(g: CirculantGraph, coloring: Coloring) -> bool:
+    """True iff no edge of g joins two vertices of the same class.
+
+    The edges of distance d join each vertex to the one d steps on, so the
+    coloring is proper iff the color list differs everywhere from its
+    rotation by d, for every d in the connection set.
+    """
+    _require_same_order(g, coloring)
+    color = _color_array(coloring)
+    return not any(
+        any(map(operator.eq, color, color[d:] + color[:d])) for d in g.connection_set
+    )
+
+
+def _common_neighbors(g: CirculantGraph, members: Collection[int]) -> frozenset[int]:
+    """Intersection of the members' neighborhoods; members is nonempty.
+
+    A common neighbor is adjacent to every member, so a class larger than
+    the degree has none.
+    """
+    if len(members) > g.degree:
+        return frozenset()
+    first, *rest = members
+    cn = g.neighbors(first)
+    for v in rest:
+        if not cn:
+            break
+        cn &= g.neighbors(v)
+    return cn
 
 
 def common_neighborhood(g: CirculantGraph, cls: Iterable[int]) -> frozenset[int]:
@@ -138,12 +169,7 @@ def common_neighborhood(g: CirculantGraph, cls: Iterable[int]) -> frozenset[int]
     for v in members:
         if not (1 <= v <= g.n):
             raise ColoringError(f"vertex {v} is outside 1..{g.n}")
-    cn = g.full_mask
-    for v in members:
-        cn &= g.neighbor_mask(v)
-        if not cn:
-            break
-    return frozenset(mask_to_vertices(cn))
+    return _common_neighbors(g, members)
 
 
 def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
@@ -151,28 +177,27 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
 
     A proper coloring is a TDC iff the common neighborhoods of its classes
     cover the whole vertex set, so `uncovered` is computed as the complement
-    of that union.
+    of that union.  Reads only the graph's offsets: besides sorting each
+    class for its record, O(n * degree) time and O(n) memory.
     """
     _require_same_order(g, coloring)
     proper = is_proper(g, coloring)
     records = []
-    covered = 0
+    # missing[v-1] stays 1 until some class's common neighborhood holds v
+    missing = bytearray(b"\x01") * g.n
     for cls in coloring.classes:
-        cn = g.full_mask
-        for v in cls:
-            cn &= g.neighbor_mask(v)
-            if not cn:
-                break
-        covered |= cn
+        cn = sorted(_common_neighbors(g, cls))
+        for u in cn:
+            missing[u - 1] = 0
         records.append(
             ClassRecord(
                 vertices=tuple(sorted(cls)),
                 size=len(cls),
-                common_neighborhood=mask_to_vertices(cn),
-                cn_size=cn.bit_count(),
+                common_neighborhood=tuple(cn),
+                cn_size=len(cn),
             )
         )
-    uncovered = mask_to_vertices(g.full_mask & ~covered)
+    uncovered = tuple(compress(range(1, g.n + 1), missing))
     return ColoringReport(
         n=g.n,
         proper=proper,
@@ -211,16 +236,13 @@ def random_greedy_coloring(g: CirculantGraph, seed: int) -> Coloring:
     rng = random.Random(seed)
     order = list(g.vertices())
     rng.shuffle(order)
-    class_masks: list[int] = []
+    color: dict[int, int] = {}
     classes: list[set[int]] = []
     for v in order:
-        nv = g.neighbor_mask(v)
-        for idx, mask in enumerate(class_masks):
-            if not mask & nv:
-                class_masks[idx] |= 1 << (v - 1)
-                classes[idx].add(v)
-                break
-        else:
-            class_masks.append(1 << (v - 1))
-            classes.append({v})
+        taken = {color[u] for u in g.neighbors(v) if u in color}
+        idx = next(i for i in range(len(classes) + 1) if i not in taken)
+        if idx == len(classes):
+            classes.append(set())
+        classes[idx].add(v)
+        color[v] = idx
     return Coloring.from_classes(g.n, classes)

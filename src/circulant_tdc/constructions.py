@@ -165,10 +165,8 @@ def verify_construction(n: int, reduction: ReductionResult | None = None) -> Con
     if reduction is None:
         coloring, graph = plan.coloring, standard_circulant(n)
     else:
-        image = reduction.vertex_map
-        coloring = Coloring.from_classes(
-            n, [{x for x in image if image[x] in cls} for cls in plan.classes]
-        )
+        preimage = {y: x for x, y in reduction.vertex_map.items()}
+        coloring = Coloring.from_classes(n, [{preimage[y] for y in cls} for cls in plan.classes])
         graph = build_circulant(n, [reduction.a, reduction.b])
     return ConstructionVerdict(
         expected_classes=formula_tdc(n),

@@ -1,17 +1,21 @@
-"""Circulant graphs with 1-based vertex labels and bitset adjacency.
+"""Circulant graphs with 1-based vertex labels, stored by their offsets.
 
-Vertices are labelled 1..n to match the usual convention for these graphs;
-internally every neighborhood is a Python int used as a bitmask (bit v-1
-stands for vertex v), which makes the set intersections that dominate this
-package's workload single machine-word operations for the sizes we care
-about.
+Vertices are labelled 1..n to match the usual convention for these graphs.
+A graph is its vertex count and its connection set; every neighborhood is
+a rotation of the same offsets, so N(v) = {v + o mod n : o in offsets}.
+The certificate checks (`is_tdc`, `verify_isomorphism`) read only the
+offsets and run in O(n * degree).  The exhaustive searches want
+neighborhoods as bitmasks (bit v-1 stands for vertex v): `masks` builds
+them on first use and keeps them, about n^2/16 bytes, so only the graphs
+that are searched ever pay for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
@@ -35,17 +39,33 @@ class CirculantGraph:
     """Immutable circulant graph: vertex set {1..n}, edges by circular distance.
 
     `connection_set` is the normalized set of distances, sorted ascending,
-    each in 1..n//2.  `masks[v-1]` is the open neighborhood of vertex v as a
-    bitmask.  Instances are safe to share across threads.
+    each in 1..n//2.  `offsets` are the distinct residues +-d mod n, sorted,
+    so vertex v is adjacent to v + o for each o; their count is the degree
+    (3 for C_6(1,3), where 3 = -3 mod 6).  `masks[v-1]` is the open
+    neighborhood of vertex v as a bitmask, built on first use.  Instances
+    are safe to share across threads: the cached attributes depend only on
+    the fields, so two threads racing on first use compute the same tuple
+    twice and one of them is kept.
     """
 
     n: int
     connection_set: tuple[int, ...]
-    masks: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        n = self.n
+        return tuple(sorted({r for d in self.connection_set for r in (d, n - d)}))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        n, full = self.n, self.full_mask
+        base = sum(1 << o for o in self.offsets)
+        # vertex i+1 is vertex 1 rotated by i: bit o moves to bit (o + i) mod n
+        return tuple((base << i | base >> (n - i)) & full for i in range(n))
 
     @property
     def degree(self) -> int:
-        return self.masks[0].bit_count()
+        return len(self.offsets)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -54,47 +74,28 @@ class CirculantGraph:
         return self.masks[v - 1]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits_to_vertices(self.masks[v - 1]))
+        n = self.n
+        return frozenset([(v - 1 + o) % n + 1 for o in self.offsets])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.masks[i - 1] >> (j - 1) & 1)
+        return (j - i) % self.n in self.offsets
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return self.n * self.degree // 2
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
 
-def _bits_to_vertices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def mask_to_vertices(mask: int) -> tuple[int, ...]:
     """Decode a bitmask into a sorted tuple of 1-based vertex labels."""
-    return tuple(_bits_to_vertices(mask))
-
-
-def vertices_to_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << (v - 1)
-    return mask
-
-
-def _graph_from_distances(n: int, distances: Sequence[int]) -> CirculantGraph:
-    masks = []
-    for v in range(n):
-        m = 0
-        for d in distances:
-            m |= 1 << ((v + d) % n)
-            m |= 1 << ((v - d) % n)
-        masks.append(m)
-    return CirculantGraph(n=n, connection_set=tuple(sorted(distances)), masks=tuple(masks))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 def build_circulant(n: int, generators: Sequence[int]) -> CirculantGraph:
@@ -118,7 +119,7 @@ def build_circulant(n: int, generators: Sequence[int]) -> CirculantGraph:
                 f"generator {g} duplicates circular distance {d} after normalization"
             )
         distances.append(d)
-    return _graph_from_distances(n, distances)
+    return CirculantGraph(n=n, connection_set=tuple(sorted(distances)))
 
 
 def standard_connection_set(n: int) -> tuple[int, ...]:
@@ -139,7 +140,7 @@ def standard_connection_set(n: int) -> tuple[int, ...]:
 
 def standard_circulant(n: int) -> CirculantGraph:
     """The graph C_n(1,3) for n >= 6, with the degenerate collapse for n = 3..5."""
-    return _graph_from_distances(n, standard_connection_set(n))
+    return CirculantGraph(n=n, connection_set=standard_connection_set(n))
 
 
 def is_standard_13(g: CirculantGraph) -> bool:
@@ -213,8 +214,9 @@ def verify_isomorphism(
     Rejects graphs of different order and maps that are not bijections on
     {1..n}.  Returns True iff {i,j} is an edge of g1 exactly when
     {mapping(i), mapping(j)} is an edge of g2.  For a bijection f that holds
-    exactly when f maps N(i) in g1 onto N(f(i)) in g2 for every i, so the
-    check compares neighborhood masks in time linear in the edges.
+    exactly when f maps N(i) in g1 onto N(f(i)) in g2 for every i.  As
+    offsets, N(f(i)) is f(i) + offsets(g2), so the check compares the set
+    {f(i + o) - f(i) : o in offsets(g1)} with offsets(g2), in O(n * degree).
     """
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
@@ -227,11 +229,9 @@ def verify_isomorphism(
         range(1, n + 1)
     ):
         raise ValueError("map is not a bijection on {1..n}")
-    bit = {x: 1 << (y - 1) for x, y in images.items()}
-    for i in range(1, n + 1):
-        image = 0
-        for j in _bits_to_vertices(g1.masks[i - 1]):
-            image |= bit[j]
-        if image != g2.masks[images[i] - 1]:
+    image = [images[x] for x in range(1, n + 1)]
+    source, target = g1.offsets, set(g2.offsets)
+    for i, fi in enumerate(image):
+        if {(image[(i + o) % n] - fi) % n for o in source} != target:
             return False
     return True

@@ -251,7 +251,7 @@ def tdc_number_exact(
     eff_limit = DEFAULT_SOLVER_LIMIT if limit is None else limit
     if g.n > eff_limit:
         raise SolverLimitError(g.n, eff_limit)
-    if any(not m for m in g.masks):
+    if not g.degree:
         raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     budget = budget or SearchBudget()
     started = time.monotonic()

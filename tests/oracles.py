@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations for the tests.
 
 Everything here is built straight from the definitions using dict-of-set
-adjacency, deliberately sharing no code with the package's bitmask fast
-paths, so the two sides of every comparison stay independent.
+adjacency, deliberately sharing no code with the package's offset and
+bitmask fast paths, so the two sides of every comparison stay independent.
 """
 
 from itertools import combinations

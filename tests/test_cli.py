@@ -182,6 +182,15 @@ class TestVerifyColoring:
         code, _ = run_cli("verify-coloring", "8", "/nonexistent/coloring.json")
         assert code == 1
 
+    def test_rejects_pair_with_set(self, tmp_path, capsys):
+        # before, the --set graph was checked and a b dropped without a word
+        f = tmp_path / "c6.txt"
+        f.write_text("1 3 5\n2 4 6\n")
+        code, out = run_cli("verify-coloring", "6", "1", "3", str(f), "--set", "1,2")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: give either a b or --set, not both"]
+
     @pytest.mark.parametrize(
         "text,label",
         [

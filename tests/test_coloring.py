@@ -6,13 +6,37 @@ import oracles
 from circulant_tdc import (
     Coloring,
     ColoringError,
+    build_circulant,
     class_size_capacity_check,
     common_neighborhood,
+    construct_tdc,
     is_proper,
     is_tdc,
     random_greedy_coloring,
     standard_circulant,
 )
+
+
+@st.composite
+def circulant_colorings(draw, max_n=40):
+    """A circulant graph C_n(S), its distance set and any partition of {1..n}.
+
+    n = 3..5 gives the degenerate graphs and d = n/2 the diametral distance;
+    partitions are greedy proper colorings or arbitrary labellings, which
+    are mostly improper.
+    """
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    distances = draw(st.sets(st.integers(min_value=1, max_value=n // 2), min_size=1, max_size=4))
+    g = build_circulant(n, sorted(distances))
+    if draw(st.booleans()):
+        coloring = random_greedy_coloring(g, draw(st.integers(0, 10**6)))
+    else:
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups: dict[int, list[int]] = {}
+        for v, label in enumerate(labels, start=1):
+            groups.setdefault(label, []).append(v)
+        coloring = Coloring.from_classes(n, groups.values())
+    return g, distances, coloring
 
 
 class TestColoringValidation:
@@ -131,14 +155,28 @@ class TestIsTdc:
             if rep.tdc:
                 assert rep.cn_size_sum >= n
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(min_value=6, max_value=16), seed=st.integers(0, 10**6))
-    def test_matches_reference_verdict(self, n, seed):
-        g = standard_circulant(n)
-        c = random_greedy_coloring(g, seed)
+    @settings(max_examples=150, deadline=None)
+    @given(case=circulant_colorings())
+    def test_matches_reference_verdict(self, case):
+        g, distances, c = case
+        n = g.n
+        adj = oracles.neighbors(n, distances)
         rep = is_tdc(g, c)
-        adj = oracles.neighbors(n, oracles.normalized_distances(n, [1, 3]))
+        assert rep.proper == oracles.is_proper_classes(adj, c.classes)
+        assert len(rep.classes) == len(c.classes)
+        covered = set()
+        for rec, cls in zip(rep.classes, c.classes):
+            cn = oracles.common_neighbors(adj, cls)
+            assert rec.vertices == tuple(sorted(cls)) and rec.size == len(cls)
+            assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
+            covered |= cn
+        assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
         assert rep.tdc == oracles.is_tdc_classes(n, adj, c.as_lists())
+
+    def test_leaves_masks_unbuilt(self):
+        g = standard_circulant(10**5)
+        assert is_tdc(g, construct_tdc(10**5).coloring).tdc
+        assert "masks" not in vars(g)
 
 
 class TestCapacityCheck:

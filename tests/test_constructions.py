@@ -7,6 +7,7 @@ from circulant_tdc import (
     construct_tdc,
     formula_tdc,
     is_tdc,
+    reduce_to_standard,
     standard_circulant,
     verify_construction,
 )
@@ -104,3 +105,13 @@ class TestVerifyConstruction:
         rep = verdict.report
         assert rep.cn_size_sum >= 12
         assert is_tdc(standard_circulant(12), construct_tdc(12).coloring).tdc
+
+    @pytest.mark.parametrize("n", range(100000, 100008))
+    def test_large_n_every_residue(self, n):
+        # the certificate is linear in n; an n^2-bit graph would need ~600 MB here
+        assert verify_construction(n).ok
+
+    def test_large_n_through_a_reduction(self):
+        n = 100003
+        verdict = verify_construction(n, reduce_to_standard(n, 5, 15))
+        assert verdict.ok and verdict.num_classes == formula_tdc(n)

@@ -79,6 +79,22 @@ class TestBuildCirculant:
             for u in g.neighbors(v):
                 assert v in g.neighbors(u)
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=40), data=st.data())
+    def test_lazy_masks_match_reference(self, n, data):
+        distances = data.draw(
+            st.sets(st.integers(min_value=1, max_value=n // 2), min_size=1, max_size=4)
+        )
+        g = build_circulant(n, sorted(distances))
+        ref = oracles.neighbors(n, distances)
+        assert "masks" not in vars(g)
+        assert g.degree == len(ref[1])
+        assert g.edge_count() == sum(len(nb) for nb in ref.values()) // 2
+        for v in g.vertices():
+            assert {u for u in g.vertices() if g.masks[v - 1] >> (u - 1) & 1} == ref[v]
+            assert g.neighbors(v) == ref[v]
+            assert [g.has_edge(v, u) for u in g.vertices()] == [u in ref[v] for u in g.vertices()]
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=3, max_value=60))
     def test_matches_reference_adjacency(self, n):
@@ -198,6 +214,13 @@ class TestVerifyIsomorphism:
                 assert verify_isomorphism(g1, g2, images) == expected, (n, a, r.b, images)
                 verdicts.add(expected)
         assert verdicts == {True, False}
+
+    def test_leaves_masks_unbuilt(self):
+        n = 10**5
+        r = reduce_to_standard(n, 7, 33)
+        g1, g2 = build_circulant(n, [7, 33]), build_circulant(n, [1, r.standard_c])
+        assert verify_isomorphism(g1, g2, r.vertex_map)
+        assert "masks" not in vars(g1) and "masks" not in vars(g2)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_all_reductions_small(self, n):
