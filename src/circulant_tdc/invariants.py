@@ -17,7 +17,12 @@ lowest available vertex before it excludes it, so it reaches sets of equal
 size in lex order.  Until the lex-least maximum set is found, every branch
 that holds it can still beat the best size so far, so the bound never prunes
 it; the first maximum set recorded is therefore the lex-least one.  Total
-domination scans sizes upward and stops at the first set in lex order.
+domination scans sizes upward and stops at the first set in lex order.  Its
+search prunes with a greedy open-packing bound (Henning and Slater, "Open
+packing in graphs", 1999): uncovered vertices whose available neighbourhoods
+are pairwise disjoint each need their own new member.  The bound is sound, so
+it cuts no branch that holds a solution and the first set found is still the
+lex-first one.
 """
 
 from __future__ import annotations
@@ -248,8 +253,15 @@ def _lex_first_total_dominating(
 ) -> tuple[int, ...] | None:
     """First total dominating set of exactly `target` vertices in lex order.
 
-    Prunes on coverage: each added vertex covers at most `deg` new vertices,
-    and the lowest uncovered vertex must still have an available neighbor.
+    Two prunes, both sound.  Coverage: each added vertex covers at most
+    `deg` new vertices.  Disjoint needs (an open-packing bound): walking the
+    uncovered vertices in increasing order, take each one's neighbourhood
+    among the still available vertices (those >= start); an empty one is
+    fatal, and a vertex whose neighbourhood misses the union of those counted
+    so far is counted.  Counted vertices need pairwise distinct new members,
+    so more of them than `remaining` is fatal.  A sound prune only cuts
+    branches that hold no solution, so the lex-order scan still meets the
+    lex-first set first.
     """
     full = (1 << n) - 1
     deg = max(m.bit_count() for m in masks)
@@ -261,15 +273,23 @@ def _lex_first_total_dominating(
             return True
         if remaining == 0:
             return False
-        missing = (full & ~covered).bit_count()
-        if missing > remaining * deg:
+        uncovered = full & ~covered
+        if uncovered.bit_count() > remaining * deg:
             return False
-        if covered != full:
-            lowest = (full & ~covered) & -(full & ~covered)
-            u = lowest.bit_length() - 1
-            avail = full & ~((1 << start) - 1)
-            if not masks[u] & avail:
+        avail = full >> start << start
+        union = 0
+        need = 0
+        while uncovered:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            options = masks[low.bit_length() - 1] & avail
+            if not options:
                 return False
+            if not options & union:
+                union |= options
+                need += 1
+                if need > remaining:
+                    return False
         for v in range(start, n):
             if n - v < remaining:
                 return False

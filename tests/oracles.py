@@ -98,13 +98,16 @@ def open_packing_number(n, adj):
     return len(max_open_packing(n, adj))
 
 
-def min_total_dominating_size(n, adj):
-    vertices = set(range(1, n + 1))
+def min_total_dominating_set(n, adj):
+    """Lex-least smallest set in which every vertex has a neighbour.
+
+    combinations yields each size in lex order, so the first hit is lex-least.
+    """
     for r in range(1, n + 1):
-        for s in combinations(sorted(vertices), r):
+        for s in combinations(range(1, n + 1), r):
             chosen = set(s)
-            if all(adj[v] & chosen for v in vertices):
-                return r
+            if all(adj[v] & chosen for v in adj):
+                return s
     return None
 
 

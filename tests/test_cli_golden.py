@@ -29,6 +29,12 @@ CASES = [
     ("sweep-6-30-csv", ["sweep", "6", "30", "--csv"], 0),
     ("sweep-6-20-exact-json", ["sweep", "6", "20", "--exact-up-to", "12", "--json"], 0),
     ("table-6-20", ["table", "6", "20"], 0),
+    ("invariants-34-oracle", ["invariants", "34", "--oracle", "--limit", "48"], 0),
+    (
+        "invariants-40-set-1-4-oracle-json",
+        ["invariants", "40", "--set", "1,4", "--oracle", "--limit", "48", "--json"],
+        0,
+    ),
     ("verify-coloring-text", ["verify-coloring", "13", "coloring-13.txt"], 0),
     ("verify-coloring-json", ["verify-coloring", "9", "coloring-9.json", "--json"], 0),
 ]

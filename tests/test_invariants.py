@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import oracles
@@ -24,6 +26,21 @@ REFERENCE_CASES = [pytest.param(n, (1, 3), id=str(n)) for n in range(5, 13)] + [
     for gens in ((1, 2), (2, 5), (1, 4), (1, 4, 6))
     for n in range(5, 14)
     if len(oracles.normalized_distances(n, gens)) == len(gens)
+]
+
+# every connection set of 1-3 circular distances for n = 5..14, named like
+# REFERENCE_CASES (C_n(1,3) by n alone)
+ALL_SMALL_CASES = [
+    pytest.param(
+        n,
+        dists,
+        id=str(n)
+        if set(dists) == oracles.normalized_distances(n, (1, 3))
+        else f"{n}-{','.join(map(str, dists))}",
+    )
+    for n in range(5, 15)
+    for r in (1, 2, 3)
+    for dists in combinations(range(1, n // 2 + 1), r)
 ]
 
 
@@ -144,11 +161,19 @@ class TestTotalDominationOracle:
             w = set(total_domination_number_oracle(g).witness)
             assert all(g.neighbors(v) & w for v in g.vertices())
 
-    @pytest.mark.parametrize("n", range(5, 13))
-    def test_matches_reference(self, n):
-        adj = oracles.neighbors(n, oracles.normalized_distances(n, [1, 3]))
-        inv = total_domination_number_oracle(standard_circulant(n))
-        assert inv.oracle == oracles.min_total_dominating_size(n, adj)
+    @pytest.mark.parametrize("n,dists", ALL_SMALL_CASES)
+    def test_matches_reference(self, n, dists):
+        adj = oracles.neighbors(n, set(dists))
+        inv = total_domination_number_oracle(build_circulant(n, dists))
+        witness = oracles.min_total_dominating_set(n, adj)
+        assert (inv.oracle, inv.witness) == (len(witness), witness)
+
+    @pytest.mark.parametrize("n", range(25, 65))
+    def test_formula_past_default_limit(self, n):
+        # without the disjoint-needs prune the search takes over a minute at
+        # n = 50, so this also guards the prune
+        inv = total_domination_number_oracle(standard_circulant(n), limit=64)
+        assert inv.oracle == total_domination_number_formula(n)
 
 
 class TestChromaticOracle:
