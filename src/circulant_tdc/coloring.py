@@ -52,14 +52,6 @@ class Coloring:
     def classes_by_size(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.classes, key=lambda c: (-len(c), sorted(c))))
 
-    def color_of(self) -> dict[int, int]:
-        """Vertex -> 1-based class index view."""
-        out = {}
-        for idx, cls in enumerate(self.classes, start=1):
-            for v in cls:
-                out[v] = idx
-        return out
-
     def as_lists(self) -> list[list[int]]:
         return [sorted(c) for c in self.classes]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
@@ -168,9 +168,6 @@ class ReductionResult:
     congruence: str
     vertex_map: Mapping[int, int]
 
-    def apply(self, x: int) -> int:
-        return self.vertex_map[x]
-
 
 def reduce_to_standard(n: int, a: int, b: int) -> ReductionResult:
     """Compute c = a^{-1} b mod n and the vertex bijection x -> a^{-1} x.
@@ -207,13 +204,13 @@ def reduce_to_standard(n: int, a: int, b: int) -> ReductionResult:
 def verify_isomorphism(
     g1: CirculantGraph,
     g2: CirculantGraph,
-    mapping: Mapping[int, int] | Callable[[int], int],
+    mapping: Mapping[int, int],
 ) -> bool:
     """Check that `mapping` carries edges of g1 exactly onto edges of g2.
 
     Rejects graphs of different order and maps that are not bijections on
     {1..n}.  Returns True iff {i,j} is an edge of g1 exactly when
-    {mapping(i), mapping(j)} is an edge of g2.  For a bijection f that holds
+    {mapping[i], mapping[j]} is an edge of g2.  For a bijection f that holds
     exactly when f maps N(i) in g1 onto N(f(i)) in g2 for every i.  As
     offsets, N(f(i)) is f(i) + offsets(g2), so the check compares the set
     {f(i + o) - f(i) : o in offsets(g1)} with offsets(g2), in O(n * degree).
@@ -221,15 +218,10 @@ def verify_isomorphism(
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     n = g1.n
-    if callable(mapping) and not isinstance(mapping, Mapping):
-        images = {x: mapping(x) for x in range(1, n + 1)}
-    else:
-        images = dict(mapping)
-    if sorted(images) != list(range(1, n + 1)) or sorted(images.values()) != list(
-        range(1, n + 1)
-    ):
+    labels = list(range(1, n + 1))
+    if sorted(mapping) != labels or sorted(mapping.values()) != labels:
         raise ValueError("map is not a bijection on {1..n}")
-    image = [images[x] for x in range(1, n + 1)]
+    image = [mapping[x] for x in labels]
     source, target = g1.offsets, set(g2.offsets)
     for i, fi in enumerate(image):
         if {(image[(i + o) % n] - fi) % n for o in source} != target:

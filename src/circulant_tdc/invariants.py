@@ -1,9 +1,11 @@
 """Closed forms and brute-force oracles for independence, open packing,
 total domination and chromatic number.
 
-The closed forms are specific to the standard distance-{1,3} family; the
-oracles work on any circulant graph of at most DEFAULT_ORACLE_LIMIT vertices,
-or up to the `limit` argument when the caller passes one.
+The closed forms are the paper's claims for the standard distance-{1,3}
+family; the oracles work on any circulant graph of at most
+DEFAULT_ORACLE_LIMIT vertices, or up to the `limit` argument when the caller
+passes one.  An oracle returns only what it searched: the CLI decides which
+closed form applies to a graph and compares the two.
 
 Independence and open packing share one branch-and-bound.  A set is an open
 packing exactly when no two of its members share a neighbour, that is, when
@@ -57,25 +59,11 @@ def _check_limit(n: int, limit: int | None) -> None:
 
 @dataclass(frozen=True)
 class InvariantValue:
-    """A named invariant with closed-form and/or brute-force value.
-
-    closed_form is present only for the standard distance-{1,3} graph inside
-    the formula's stated range; oracle is present when a search ran.  When
-    both are present, agree records their equality.
-    """
+    """A named invariant as an exhaustive search found it, with its witness."""
 
     name: str
-    closed_form: int | None
-    oracle: int | None
-    witness: tuple[int, ...] | Coloring | None
-    agree: bool | None
-
-
-def _combine(name: str, closed: int | None, oracle_val: int, witness) -> InvariantValue:
-    agree = None if closed is None else (closed == oracle_val)
-    return InvariantValue(
-        name=name, closed_form=closed, oracle=oracle_val, witness=witness, agree=agree
-    )
+    oracle: int
+    witness: tuple[int, ...] | Coloring
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +155,14 @@ def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> I
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
     size, witness = _max_independent(list(g.masks), g.full_mask)
-    closed = None
-    if is_standard_13(g) and g.n >= 4:
-        closed = independence_number_formula(g.n)
-    return _combine("independence", closed, size, mask_to_vertices(witness))
+    return InvariantValue("independence", size, mask_to_vertices(witness))
 
 
 def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum open packing size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
     size, witness = _max_independent(_shared_neighbour_masks(g), g.full_mask)
-    closed = None
-    if is_standard_13(g) and g.n >= 3:
-        closed = open_packing_number_formula(g.n)
-    return _combine("open_packing", closed, size, mask_to_vertices(witness))
+    return InvariantValue("open_packing", size, mask_to_vertices(witness))
 
 
 @dataclass(frozen=True)
@@ -315,10 +297,7 @@ def total_domination_number_oracle(
     for size in range(start, g.n + 1):
         witness = _lex_first_total_dominating(masks, g.n, size)
         if witness is not None:
-            closed = None
-            if is_standard_13(g) and g.n >= 4:
-                closed = total_domination_number_formula(g.n)
-            return _combine("total_domination", closed, size, witness)
+            return InvariantValue("total_domination", size, witness)
     raise AssertionError("graph has an isolated vertex; no total dominating set exists")
 
 
@@ -372,5 +351,5 @@ def chromatic_number_oracle(g: CirculantGraph, limit: int | None = None) -> Inva
             for v, c in enumerate(colors, start=1):
                 classes.setdefault(c, set()).add(v)
             witness = Coloring.from_classes(g.n, [classes[c] for c in sorted(classes)])
-            return _combine("chromatic", None, k, witness)
+            return InvariantValue("chromatic", k, witness)
     raise AssertionError("unreachable: n colors always suffice")

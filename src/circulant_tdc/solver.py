@@ -260,7 +260,6 @@ def tdc_number_exact(
     domination = total_domination_number_oracle(g, limit=eff_limit)
     chi = chromatic.oracle
     gamma_t = domination.oracle
-    assert chi is not None and gamma_t is not None
     if chi >= gamma_t:
         lower, lower_source = chi, "chromatic"
     else:

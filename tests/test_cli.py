@@ -92,6 +92,14 @@ class TestSweep:
         assert rows["7"].split(",")[4] == "4"
         assert rows["10"].split(",")[4] == ""
 
+    def test_exact_table_disagrees_only_at_18(self):
+        # the paper's table against exact search: n=18 is the one discrepancy
+        code, out = run_cli("sweep", "6", "40", "--exact-up-to", "18", "--csv")
+        assert code == 2
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 35
+        assert [row.split(",")[0] for row in rows if row.endswith(",False")] == ["18"]
+
     def test_single_n(self):
         code, out = run_cli("sweep", "6", "6", "--csv")
         assert code == 0
@@ -139,6 +147,20 @@ class TestInvariants:
         assert code == 0
         assert "[formula]" not in out
         assert "[oracle]" in out
+
+    def test_standard_set_is_judged_against_printed_formulas(self):
+        # --set 1 names the standard graph at n=4; the open packing oracle
+        # finds 2 where the closed form says 1
+        code, out = run_cli("invariants", "4", "--set", "1", "--oracle")
+        assert code == 2
+        assert out.count("[formula]") == 3
+        assert "1 disagreement(s)" in out
+
+    def test_standard_set_gets_formulas(self):
+        code, out = run_cli("invariants", "12", "--set", "1,3", "--oracle")
+        assert code == 0
+        assert out.count("[formula]") == 3
+        assert "3 agreement(s)" in out
 
 
 class TestVerifyColoring:
