@@ -97,9 +97,9 @@ class RunReport:
 
     def render(self, fmt: str) -> list[str]:
         """The output lines in "text", "csv" or "json"."""
-        results = sorted(self.results, key=lambda r: r.get("n", 0))
         if fmt == "csv":
             return self.csv
+        results = sorted(self.results, key=lambda r: r.get("n", 0))
         if fmt == "json":
             summary = {
                 "agreements": self.agreements,
@@ -391,11 +391,15 @@ def _cmd_reduce(args) -> RunReport:
 
 def _cmd_table(args) -> RunReport:
     table = build_formula_table(args.n_from, args.n_to)
-    report = RunReport(
-        "table", {"n_from": args.n_from, "n_to": args.n_to}, results=table.to_dicts()
-    )
-    report.csv = table.to_csv_lines()
-    report.text = [line.replace(",", "\t") for line in report.csv]
+    report = RunReport("table", {"n_from": args.n_from, "n_to": args.n_to})
+    # build the rows only in the one format main prints
+    fmt = _format(args)
+    if fmt == "json":
+        report.results = table.to_dicts()
+    else:
+        report.csv = table.to_csv_lines()
+        if fmt == "text":
+            report.text = [line.replace(",", "\t") for line in report.csv]
     report.summary = {
         "rows": len(table.rows),
         "offset_inconsistencies": sum(1 for r in table.rows if not r.offset_consistent),
@@ -471,6 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format(args) -> str:
+    """The output format the arguments ask for: --csv wins over --json."""
+    return "csv" if getattr(args, "csv", False) else "json" if args.json else "text"
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
@@ -480,8 +489,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         # construction, coloring, limit and hypothesis errors, and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    fmt = "csv" if getattr(args, "csv", False) else "json" if args.json else "text"
-    for line in report.render(fmt):
+    for line in report.render(_format(args)):
         print(line, file=out)
     return report.exit_code
 

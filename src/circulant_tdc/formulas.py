@@ -59,6 +59,17 @@ def formula_tdc_general(n: int, a: int, b: int) -> int:
     return formula_tdc(n)
 
 
+def _offset_case_split(n: int) -> int:
+    """The case split of tdc_total_domination_offset, without its cross-check."""
+    if n in (8, 10):
+        return 0
+    if n == 9:
+        return 1
+    if n % 8 == 3 and n != 11:
+        return 3
+    return 2
+
+
 def tdc_total_domination_offset(n: int) -> int:
     """Case-split value of formula_tdc(n) - total_domination_number_formula(n).
 
@@ -69,14 +80,7 @@ def tdc_total_domination_offset(n: int) -> int:
     """
     if n < 6:
         raise ValueError(f"offset needs n >= 6, got {n}")
-    if n in (8, 10):
-        value = 0
-    elif n == 9:
-        value = 1
-    elif n % 8 == 3 and n != 11:
-        value = 3
-    else:
-        value = 2
+    value = _offset_case_split(n)
     difference = formula_tdc(n) - total_domination_number_formula(n)
     if value != difference:
         raise FormulaConsistencyError(
@@ -135,20 +139,18 @@ def build_formula_table(n_from: int, n_to: int) -> FormulaTable:
         raise ValueError(f"empty range {n_from}..{n_to}")
     rows = []
     for n in range(n_from, n_to + 1):
-        try:
-            offset: int | None = tdc_total_domination_offset(n)
-            consistent = True
-        except FormulaConsistencyError:
-            offset = None
-            consistent = False
+        chi_dt = formula_tdc(n)
+        gamma_t = total_domination_number_formula(n)
+        offset = _offset_case_split(n)
+        consistent = offset == chi_dt - gamma_t
         rows.append(
             FormulaRow(
                 n=n,
-                chi_dt=formula_tdc(n),
-                gamma_t=total_domination_number_formula(n),
+                chi_dt=chi_dt,
+                gamma_t=gamma_t,
                 alpha=independence_number_formula(n),
                 rho=open_packing_number_formula(n),
-                offset=offset,
+                offset=offset if consistent else None,
                 offset_consistent=consistent,
             )
         )

@@ -11,14 +11,18 @@ Independence and open packing share one branch-and-bound.  A set is an open
 packing exactly when no two of its members share a neighbour, that is, when
 it is independent in the graph that joins two vertices whenever they have a
 common neighbour; the open packing oracle and the census of maximum packings
-search that graph.
+search that graph.  The search prunes with a greedy clique cover of the
+available vertices (Balas and Yu, SIAM J. Comput. 15, 1986; Tomita and
+Seki, DMTCS 2003): an independent set holds at most one vertex of each
+clique, so the number of cliques bounds what a branch can still add.
 
 Oracle witnesses are deterministic: ties are broken toward the
 lexicographically smallest vertex set.  The branch-and-bound includes the
 lowest available vertex before it excludes it, so it reaches sets of equal
-size in lex order.  Until the lex-least maximum set is found, every branch
-that holds it can still beat the best size so far, so the bound never prunes
-it; the first maximum set recorded is therefore the lex-least one.  Total
+size in lex order.  Any sound upper bound keeps the lex-least maximum set:
+until that set is found, the best size so far is below its size, while the
+bound of a branch that holds it is at least its size, so no such branch is
+pruned; the first maximum set recorded is therefore the lex-least one.  Total
 domination scans sizes upward and stops at the first set in lex order.  Its
 search prunes with a greedy open-packing bound (Henning and Slater, "Open
 packing in graphs", 1999): uncovered vertices whose available neighbourhoods
@@ -104,6 +108,28 @@ def total_domination_number_formula(n: int) -> int:
 # brute-force searches
 
 
+def _clique_cover_tops(masks: list[int], avail: int) -> list[int]:
+    """Top vertices of a greedy partition of `avail` into cliques, decreasing.
+
+    Each clique starts at the highest vertex left and keeps adding the
+    highest vertex adjacent to every member so far.  An independent set has
+    at most one vertex per clique, and a clique whose top is below v has no
+    vertex >= v, so the number of tops >= v bounds the independent sets
+    within the vertices of `avail` from v up.  `masks` must be symmetric.
+    """
+    tops = []
+    while avail:
+        top = avail.bit_length() - 1
+        tops.append(top)
+        avail ^= 1 << top
+        candidates = avail & masks[top]
+        while candidates:
+            v = candidates.bit_length() - 1
+            avail ^= 1 << v
+            candidates &= masks[v]
+    return tops
+
+
 def _max_independent(
     masks: list[int], avail: int, chosen: int = 0, best: tuple[int, int] = (0, 0)
 ) -> tuple[int, int]:
@@ -111,13 +137,17 @@ def _max_independent(
 
     Returns (size, bitmask), or `best` when nothing beats it.  Branches on the
     lowest available vertex: include it, then loop on with it excluded.
+    Prunes on the clique cover of what is left.
     """
     size = chosen.bit_count()
+    tops = _clique_cover_tops(masks, avail)
     while avail:
-        if size + avail.bit_count() <= best[0]:
-            return best
         low = avail & -avail
         v = low.bit_length() - 1
+        while tops[-1] < v:
+            tops.pop()
+        if size + len(tops) <= best[0]:
+            return best
         best = _max_independent(masks, avail & ~(low | masks[v]), chosen | low, best)
         avail ^= low
     return (size, chosen) if size > best[0] else best
@@ -130,10 +160,15 @@ def _independent_sets_of_size(
     if need == 0:
         yield chosen
         return
-    while avail.bit_count() >= need:
+    tops = _clique_cover_tops(masks, avail)
+    while avail:
         low = avail & -avail
-        avail ^= low
         v = low.bit_length() - 1
+        while tops[-1] < v:
+            tops.pop()
+        if len(tops) < need:
+            return
+        avail ^= low
         yield from _independent_sets_of_size(masks, avail & ~masks[v], need - 1, chosen | low)
 
 

@@ -29,6 +29,8 @@ CASES = [
     ("sweep-6-30-csv", ["sweep", "6", "30", "--csv"], 0),
     ("sweep-6-20-exact-json", ["sweep", "6", "20", "--exact-up-to", "12", "--json"], 0),
     ("table-6-20", ["table", "6", "20"], 0),
+    ("table-6-20-csv", ["table", "6", "20", "--csv"], 0),
+    ("table-6-20-json", ["table", "6", "20", "--json"], 0),
     ("invariants-34-oracle", ["invariants", "34", "--oracle", "--limit", "48"], 0),
     (
         "invariants-40-set-1-4-oracle-json",

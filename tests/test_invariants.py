@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from circulant_tdc import (
     total_domination_number_formula,
     total_domination_number_oracle,
 )
+from circulant_tdc.invariants import _clique_cover_tops, _shared_neighbour_masks
 
 
 # C_n(1,3) cases are named by n alone, other connection sets "n-gens"; an n
@@ -41,6 +43,13 @@ ALL_SMALL_CASES = [
     for n in range(5, 15)
     for r in (1, 2, 3)
     for dists in combinations(range(1, n // 2 + 1), r)
+]
+
+# ALL_SMALL_CASES, plus the REFERENCE_CASES that name one of its graphs by
+# other generators (C_6(2,5) is C_6(1,2)), so that their ids stay
+_ALL_SMALL_IDS = {case.id for case in ALL_SMALL_CASES}
+WITNESS_CASES = ALL_SMALL_CASES + [
+    case for case in REFERENCE_CASES if case.id not in _ALL_SMALL_IDS
 ]
 
 
@@ -88,7 +97,7 @@ class TestIndependenceOracle:
             w = inv.witness
             assert all(not g.has_edge(a, b) for i, a in enumerate(w) for b in w[i + 1:])
 
-    @pytest.mark.parametrize("n,gens", REFERENCE_CASES)
+    @pytest.mark.parametrize("n,gens", WITNESS_CASES)
     def test_matches_reference(self, n, gens):
         adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
         inv = independence_number_oracle(build_circulant(n, gens))
@@ -125,7 +134,7 @@ class TestOpenPackingOracle:
                 for b in w[i + 1:]:
                     assert not (g.neighbors(a) & g.neighbors(b))
 
-    @pytest.mark.parametrize("n,gens", REFERENCE_CASES)
+    @pytest.mark.parametrize("n,gens", WITNESS_CASES)
     def test_matches_reference(self, n, gens):
         adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
         inv = open_packing_number_oracle(build_circulant(n, gens))
@@ -135,6 +144,43 @@ class TestOpenPackingOracle:
     @pytest.mark.parametrize("n", range(7, 25))
     def test_regularity_upper_bound(self, n):
         assert open_packing_number_oracle(standard_circulant(n)).oracle <= n // 4
+
+
+def _brute_alpha(adj, vertices):
+    """Largest independent subset of `vertices` under dict-of-set adjacency."""
+    for size in range(len(vertices), 0, -1):
+        for subset in combinations(vertices, size):
+            if all(b not in adj[a] for a, b in combinations(subset, 2)):
+                return size
+    return 0
+
+
+class TestCliqueCoverBound:
+    @pytest.mark.parametrize(
+        "n,gens",
+        [
+            pytest.param(n, gens, id=f"{n}-{','.join(map(str, gens))}")
+            for n in (7, 9, 11, 12)
+            for gens in ((1, 3), (1, 2), (2, 3), (1, 2, 4))
+        ],
+    )
+    def test_bounds_every_suffix_of_avail(self, n, gens):
+        # the searches read the number of tops >= v as a bound on the
+        # vertices of avail from v up, in the graph and in its
+        # shared-neighbour graph (whose independent sets are open packings)
+        g = build_circulant(n, gens)
+        adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
+        shared = {u: {w for w in adj if w != u and adj[u] & adj[w]} for u in adj}
+        rng = random.Random(n * 100 + sum(gens))
+        for masks, graph_adj in ((g.masks, adj), (_shared_neighbour_masks(g), shared)):
+            for _ in range(20):
+                avail = rng.getrandbits(n)
+                tops = _clique_cover_tops(list(masks), avail)
+                assert tops == sorted(set(tops), reverse=True)
+                members = [v for v in range(n) if avail >> v & 1]
+                for i, v in enumerate(members):
+                    bound = sum(1 for t in tops if t >= v)
+                    assert bound >= _brute_alpha(graph_adj, [u + 1 for u in members[i:]])
 
 
 class TestTotalDominationOracle:
