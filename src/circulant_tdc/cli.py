@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .coloring import Coloring, ColoringError, is_tdc
 from .constructions import verify_construction
-from .formulas import build_formula_table, formula_tdc, formula_tdc_general
+from .formulas import TABLE_COLUMNS, formula_rows, formula_tdc, formula_tdc_general
 from .graphs import (
     CirculantGraph,
     GraphConstructionError,
@@ -72,7 +72,6 @@ class RunReport:
     text: list[str] = field(default_factory=list)
     csv: list[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.monotonic)
 
     def claim(self, result: dict, quantity: str, value, source: str, **extra) -> None:
         entry = {"quantity": quantity, "value": value, "source": source, **extra}
@@ -95,8 +94,8 @@ class RunReport:
             return EXIT_INPUT
         return EXIT_DISAGREE if self.disagreements else EXIT_OK
 
-    def render(self, fmt: str) -> list[str]:
-        """The output lines in "text", "csv" or "json"."""
+    def render(self, fmt: str, started: float) -> list[str]:
+        """The output lines in "text", "csv" or "json"; `started` is when the run began."""
         if fmt == "csv":
             return self.csv
         results = sorted(self.results, key=lambda r: r.get("n", 0))
@@ -105,7 +104,7 @@ class RunReport:
                 "agreements": self.agreements,
                 "disagreements": self.disagreements,
                 "notes": self.notes,
-                "elapsed_seconds": round(time.monotonic() - self.started, 6),
+                "elapsed_seconds": round(time.monotonic() - started, 6),
                 **self.summary,
             }
             envelope = {"version": SCHEMA_VERSION, "command": self.command, "inputs": self.inputs}
@@ -390,19 +389,23 @@ def _cmd_reduce(args) -> RunReport:
 
 
 def _cmd_table(args) -> RunReport:
-    table = build_formula_table(args.n_from, args.n_to)
+    rows = formula_rows(args.n_from, args.n_to)
     report = RunReport("table", {"n_from": args.n_from, "n_to": args.n_to})
-    # build the rows only in the one format main prints
+    # build the lines only in the one format main prints
     fmt = _format(args)
     if fmt == "json":
-        report.results = table.to_dicts()
+        report.results = [dict(zip(TABLE_COLUMNS, row)) for row in rows]
     else:
-        report.csv = table.to_csv_lines()
-        if fmt == "text":
-            report.text = [line.replace(",", "\t") for line in report.csv]
+        sep = "," if fmt == "csv" else "\t"
+        lines = [sep.join(TABLE_COLUMNS)]
+        lines += [sep.join("" if v is None else str(v) for v in row) for row in rows]
+        if fmt == "csv":
+            report.csv = lines
+        else:
+            report.text = lines
     report.summary = {
-        "rows": len(table.rows),
-        "offset_inconsistencies": sum(1 for r in table.rows if not r.offset_consistent),
+        "rows": len(rows),
+        "offset_inconsistencies": sum(1 for row in rows if not row[-1]),
     }
     return report
 
@@ -483,13 +486,14 @@ def _format(args) -> str:
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
         report = args.func(args)
     except (ValueError, OSError) as exc:
         # construction, coloring, limit and hypothesis errors, and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    for line in report.render(_format(args)):
+    for line in report.render(_format(args), started):
         print(line, file=out)
     return report.exit_code
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from itertools import compress
 from typing import Collection, Iterable
 
-from .graphs import CirculantGraph, is_standard_13
+from .graphs import CirculantGraph
 
 
 class ColoringError(ValueError):
@@ -20,8 +19,7 @@ class Coloring:
     """A partition of {1..n} into nonempty color classes, in a fixed order.
 
     The class order is preserved as given (constructions rely on it for
-    readable output); `classes_by_size` is the canonical view sorted by
-    descending size.
+    readable output).
     """
 
     n: int
@@ -47,10 +45,6 @@ class Coloring:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    @property
-    def classes_by_size(self) -> tuple[frozenset[int], ...]:
-        return tuple(sorted(self.classes, key=lambda c: (-len(c), sorted(c))))
 
     def as_lists(self) -> list[list[int]]:
         return [sorted(c) for c in self.classes]
@@ -197,44 +191,3 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
         uncovered=uncovered,
         tdc=proper and not uncovered,
     )
-
-
-def class_size_capacity_check(g: CirculantGraph, coloring: Coloring) -> bool:
-    """Size/common-neighborhood capacity predicate for proper colorings.
-
-    On the standard distance-{1,3} graph with n >= 9, every class of a proper
-    coloring satisfies: size + |CN| <= 5 when size <= 4, and |CN| = 0 when
-    size >= 5.  Returns True iff every class of `coloring` does.
-    """
-    if not is_standard_13(g) or g.n < 9:
-        raise ValueError("capacity check applies to the standard distance-{1,3} graph with n >= 9")
-    report = is_tdc(g, coloring)
-    if not report.proper:
-        raise ColoringError("capacity check requires a proper coloring")
-    for rec in report.classes:
-        if rec.size <= 4 and rec.size + rec.cn_size > 5:
-            return False
-        if rec.size >= 5 and rec.cn_size != 0:
-            return False
-    return True
-
-
-def random_greedy_coloring(g: CirculantGraph, seed: int) -> Coloring:
-    """Proper coloring from greedy assignment over a seed-shuffled vertex order.
-
-    Deterministic for a fixed seed, which keeps property-test failures
-    reproducible.
-    """
-    rng = random.Random(seed)
-    order = list(g.vertices())
-    rng.shuffle(order)
-    color: dict[int, int] = {}
-    classes: list[set[int]] = []
-    for v in order:
-        taken = {color[u] for u in g.neighbors(v) if u in color}
-        idx = next(i for i in range(len(classes) + 1) if i not in taken)
-        if idx == len(classes):
-            classes.append(set())
-        classes[idx].add(v)
-        color[v] = idx
-    return Coloring.from_classes(g.n, classes)

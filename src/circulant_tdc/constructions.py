@@ -10,7 +10,7 @@ _RESIDUE_TABLE gives, for r = n % 8, the tail classes near the wrap boundary
 parity class (M is empty except for r = 3, 5, 7, where it dodges the
 wraparound edges).  With T the packing plus the tails, the last two classes
 are (odd - T - M) | (even & M) and (even - T - M) | (odd & M), so the classes
-stay disjoint.
+stay disjoint; Coloring.from_classes rejects any class that comes out empty.
 
 verify_construction is the one place that builds a construction and tests
 it, on C_n(1,3) or, through a reduction, on C_n(a,b).
@@ -23,10 +23,6 @@ from dataclasses import dataclass
 from .coloring import Coloring, ColoringReport, is_tdc
 from .formulas import formula_tdc
 from .graphs import ReductionResult, build_circulant, standard_circulant
-
-
-class ConstructionError(ValueError):
-    """Raised when the set algebra yields an empty class (a construction bug)."""
 
 
 _SMALL_TABLE: dict[int, tuple[tuple[int, ...], ...]] = {
@@ -107,8 +103,8 @@ def construct_tdc(n: int) -> ConstructionPlan:
     """Emit the explicit total dominator coloring for the standard graph on n vertices.
 
     Deterministic; class order follows the listing order (packing singletons,
-    then boundary sets, then parity leftovers).  Raises ConstructionError if
-    the set algebra ever produces an empty class.
+    then boundary sets, then parity leftovers).  Coloring.from_classes raises
+    ColoringError if the set algebra ever produces an empty class.
     """
     if n < 6:
         raise ValueError(f"constructions start at n = 6, got {n}")
@@ -117,9 +113,6 @@ def construct_tdc(n: int) -> ConstructionPlan:
         classes = [frozenset(c) for c in _SMALL_TABLE[n]]
     else:
         packing, classes = _residue_classes(n)
-    for idx, cls in enumerate(classes):
-        if not cls:
-            raise ConstructionError(f"class {idx + 1} for n={n} is empty")
     coloring = Coloring.from_classes(n, classes)
     return ConstructionPlan(
         n=n,

@@ -1,12 +1,12 @@
-"""Closed-form evaluators for the total dominator chromatic number and the
-consistency relations tying it to the other invariants.
+"""Closed-form evaluators for the total dominator chromatic number, the
+consistency relations tying it to the other invariants, and the plain-tuple
+rows of the `table` command, whose columns TABLE_COLUMNS names.
 
 All arithmetic is exact integer arithmetic; ceil(n/8) is (n + 7) // 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .graphs import GraphConstructionError, reduce_to_standard
@@ -90,49 +90,24 @@ def tdc_total_domination_offset(n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class FormulaRow:
-    n: int
-    chi_dt: int
-    gamma_t: int
-    alpha: int
-    rho: int
-    offset: int | None
-    offset_consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "chi_dt_formula": self.chi_dt,
-            "gamma_t_formula": self.gamma_t,
-            "alpha_formula": self.alpha,
-            "rho_formula": self.rho,
-            "offset": self.offset,
-            "offset_consistent": self.offset_consistent,
-        }
+TABLE_COLUMNS = (
+    "n",
+    "chi_dt_formula",
+    "gamma_t_formula",
+    "alpha_formula",
+    "rho_formula",
+    "offset",
+    "offset_consistent",
+)
 
 
-@dataclass(frozen=True)
-class FormulaTable:
-    """Closed-form values for a range of n, one row per vertex count."""
+def formula_rows(n_from: int, n_to: int) -> list[tuple]:
+    """Closed-form values for n_from..n_to, one tuple per n in TABLE_COLUMNS order.
 
-    rows: tuple[FormulaRow, ...]
-
-    def to_dicts(self) -> list[dict]:
-        return [row.to_dict() for row in self.rows]
-
-    def to_csv_lines(self) -> list[str]:
-        header = "n,chi_dt_formula,gamma_t_formula,alpha_formula,rho_formula,offset,offset_consistent"
-        lines = [header]
-        for r in self.rows:
-            off = "" if r.offset is None else str(r.offset)
-            lines.append(
-                f"{r.n},{r.chi_dt},{r.gamma_t},{r.alpha},{r.rho},{off},{r.offset_consistent}"
-            )
-        return lines
-
-
-def build_formula_table(n_from: int, n_to: int) -> FormulaTable:
+    offset is the case split of tdc_total_domination_offset where it agrees
+    with chi_dt - gamma_t, and None where it does not; offset_consistent
+    says which.
+    """
     if n_from < 6:
         raise ValueError(f"table starts at n >= 6, got {n_from}")
     if n_to < n_from:
@@ -142,16 +117,8 @@ def build_formula_table(n_from: int, n_to: int) -> FormulaTable:
         chi_dt = formula_tdc(n)
         gamma_t = total_domination_number_formula(n)
         offset = _offset_case_split(n)
-        consistent = offset == chi_dt - gamma_t
-        rows.append(
-            FormulaRow(
-                n=n,
-                chi_dt=chi_dt,
-                gamma_t=gamma_t,
-                alpha=independence_number_formula(n),
-                rho=open_packing_number_formula(n),
-                offset=offset if consistent else None,
-                offset_consistent=consistent,
-            )
-        )
-    return FormulaTable(rows=tuple(rows))
+        if offset != chi_dt - gamma_t:
+            offset = None
+        alpha, rho = independence_number_formula(n), open_packing_number_formula(n)
+        rows.append((n, chi_dt, gamma_t, alpha, rho, offset, offset is not None))
+    return rows

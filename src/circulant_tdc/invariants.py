@@ -63,9 +63,8 @@ def _check_limit(n: int, limit: int | None) -> None:
 
 @dataclass(frozen=True)
 class InvariantValue:
-    """A named invariant as an exhaustive search found it, with its witness."""
+    """An invariant as an exhaustive search found it, with its witness."""
 
-    name: str
     oracle: int
     witness: tuple[int, ...] | Coloring
 
@@ -190,14 +189,14 @@ def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> I
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
     size, witness = _max_independent(list(g.masks), g.full_mask)
-    return InvariantValue("independence", size, mask_to_vertices(witness))
+    return InvariantValue(size, mask_to_vertices(witness))
 
 
 def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum open packing size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
     size, witness = _max_independent(_shared_neighbour_masks(g), g.full_mask)
-    return InvariantValue("open_packing", size, mask_to_vertices(witness))
+    return InvariantValue(size, mask_to_vertices(witness))
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def total_domination_number_oracle(
     for size in range(start, g.n + 1):
         witness = _lex_first_total_dominating(masks, g.n, size)
         if witness is not None:
-            return InvariantValue("total_domination", size, witness)
+            return InvariantValue(size, witness)
     raise AssertionError("graph has an isolated vertex; no total dominating set exists")
 
 
@@ -386,5 +385,5 @@ def chromatic_number_oracle(g: CirculantGraph, limit: int | None = None) -> Inva
             for v, c in enumerate(colors, start=1):
                 classes.setdefault(c, set()).add(v)
             witness = Coloring.from_classes(g.n, [classes[c] for c in sorted(classes)])
-            return InvariantValue("chromatic", k, witness)
+            return InvariantValue(k, witness)
     raise AssertionError("unreachable: n colors always suffice")

@@ -3,9 +3,14 @@
 Everything here is built straight from the definitions using dict-of-set
 adjacency, deliberately sharing no code with the package's offset and
 bitmask fast paths, so the two sides of every comparison stay independent.
+The coloring helpers at the end take the package's graph and return its
+Coloring, but read only the vertex count and the connection set.
 """
 
+import random
 from itertools import combinations
+
+from circulant_tdc import Coloring, ColoringError
 
 
 def neighbors(n, distances):
@@ -142,3 +147,42 @@ def is_isomorphism(n, adj1, adj2, images):
         (j in adj1[i]) == (images[j] in adj2[images[i]])
         for i, j in combinations(range(1, n + 1), 2)
     )
+
+
+def random_greedy_coloring(g, seed):
+    """Proper coloring of g by greedy assignment over a seed-shuffled vertex order.
+
+    Each vertex in turn takes the least color that no colored neighbor has.
+    Deterministic for a fixed seed, which keeps property-test failures
+    reproducible.
+    """
+    adj = neighbors(g.n, set(g.connection_set))
+    order = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(order)
+    color = {}
+    for v in order:
+        taken = {color[u] for u in adj[v] if u in color}
+        color[v] = min(set(range(len(taken) + 1)) - taken)
+    classes = [[] for _ in range(max(color.values()) + 1)]
+    for v, c in color.items():
+        classes[c].append(v)
+    return Coloring.from_classes(g.n, classes)
+
+
+def class_size_capacity_check(g, coloring):
+    """Size/common-neighborhood capacity predicate for proper colorings.
+
+    On the standard distance-{1,3} graph with n >= 9, every class of a proper
+    coloring satisfies: size + |CN| <= 5 when size <= 4, and |CN| = 0 when
+    size >= 5.  Returns True iff every class of `coloring` does.
+    """
+    if g.n < 9 or set(g.connection_set) != {1, 3}:
+        raise ValueError("capacity check applies to the standard distance-{1,3} graph with n >= 9")
+    adj = neighbors(g.n, {1, 3})
+    if not is_proper_classes(adj, coloring.classes):
+        raise ColoringError("capacity check requires a proper coloring")
+    for cls in coloring.classes:
+        size, cn_size = len(cls), len(common_neighbors(adj, cls))
+        if (size <= 4 and size + cn_size > 5) or (size >= 5 and cn_size):
+            return False
+    return True

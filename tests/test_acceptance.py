@@ -16,7 +16,6 @@ import oracles
 from circulant_tdc import (
     Coloring,
     build_circulant,
-    class_size_capacity_check,
     common_neighborhood,
     construct_tdc,
     formula_tdc,
@@ -27,7 +26,6 @@ from circulant_tdc import (
     max_open_packing_structure,
     open_packing_number_formula,
     open_packing_number_oracle,
-    random_greedy_coloring,
     reduce_to_standard,
     standard_circulant,
     tdc_number_exact,
@@ -38,6 +36,7 @@ from circulant_tdc import (
     verify_isomorphism,
 )
 from circulant_tdc.graphs import circular_distance
+from oracles import class_size_capacity_check, random_greedy_coloring
 
 EXACT_EXPECTED = {
     6: 2, 7: 4, 8: 2, 9: 4, 10: 4, 11: 5, 12: 6,

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -307,6 +308,19 @@ class TestContract:
         captured = capsys.readouterr()
         assert (code, out, captured.out) == (1, "", "")
         assert captured.err.startswith("error: ")
+
+    def test_elapsed_seconds_covers_the_command(self, tmp_path, monkeypatch):
+        f = tmp_path / "c.json"
+        f.write_text("[[1,3,5,7],[2,4,6,8]]")
+
+        def slow_is_tdc(graph, coloring):
+            time.sleep(0.2)
+            return is_tdc(graph, coloring)
+
+        monkeypatch.setattr(cli, "is_tdc", slow_is_tdc)
+        code, out = run_cli("verify-coloring", "8", str(f), "--json")
+        assert code == 0
+        assert json.loads(out)["summary"]["elapsed_seconds"] >= 0.2
 
     def test_budget_stop_json(self):
         code, out = run_cli("chidt", "17", "--exact", "--budget-nodes", "20", "--json")

@@ -7,14 +7,13 @@ from circulant_tdc import (
     Coloring,
     ColoringError,
     build_circulant,
-    class_size_capacity_check,
     common_neighborhood,
     construct_tdc,
     is_proper,
     is_tdc,
-    random_greedy_coloring,
     standard_circulant,
 )
+from oracles import class_size_capacity_check, random_greedy_coloring
 
 
 @st.composite
@@ -59,11 +58,6 @@ class TestColoringValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ColoringError, match="vertex 9"):
             Coloring.from_classes(8, [[1, 2, 9], [3, 4, 5, 6, 7, 8]])
-
-    def test_classes_by_size_descending(self):
-        c = Coloring.from_classes(6, [[1], [2, 4, 6], [3, 5]])
-        sizes = [len(x) for x in c.classes_by_size]
-        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestIsProper:

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from circulant_tdc import (
     FormulaConsistencyError,
     GraphConstructionError,
-    build_formula_table,
     formula_tdc,
     formula_tdc_general,
     tdc_total_domination_offset,
     total_domination_number_formula,
 )
+from circulant_tdc.cli import main
+from circulant_tdc.formulas import TABLE_COLUMNS, formula_rows
 
 
 class TestFormulaTdc:
@@ -90,20 +91,21 @@ class TestOffset:
 
 class TestFormulaTable:
     def test_rows_and_flags(self):
-        table = build_formula_table(6, 12)
-        assert [r.n for r in table.rows] == list(range(6, 13))
-        by_n = {r.n: r for r in table.rows}
-        assert by_n[6].offset is None and not by_n[6].offset_consistent
-        assert by_n[8].offset == 0 and by_n[8].offset_consistent
-        assert by_n[11].offset == 2
+        rows = [dict(zip(TABLE_COLUMNS, row)) for row in formula_rows(6, 12)]
+        assert [r["n"] for r in rows] == list(range(6, 13))
+        by_n = {r["n"]: r for r in rows}
+        assert by_n[6]["offset"] is None and not by_n[6]["offset_consistent"]
+        assert by_n[8]["offset"] == 0 and by_n[8]["offset_consistent"]
+        assert by_n[11]["offset"] == 2
 
-    def test_csv_shape(self):
-        lines = build_formula_table(6, 8).to_csv_lines()
+    def test_csv_shape(self, capsys):
+        assert main(["table", "6", "8", "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("n,chi_dt_formula")
         assert len(lines) == 4
 
     def test_range_guards(self):
         with pytest.raises(ValueError):
-            build_formula_table(5, 10)
+            formula_rows(5, 10)
         with pytest.raises(ValueError):
-            build_formula_table(10, 6)
+            formula_rows(10, 6)
