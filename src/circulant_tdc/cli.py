@@ -129,6 +129,17 @@ class RunReport:
         return lines
 
 
+def integer(token: str) -> int:
+    """The integer that `token` spells as -?[0-9]+, else a ValueError naming it.
+
+    int() would also read "+3", "0_3" and non-ASCII digits.  As an argparse
+    type, a bad value reads "invalid integer value: '+3'".
+    """
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def _pair(args) -> tuple[int, int] | None:
     """The optional generators a b of the graph arguments: both or neither."""
     if (args.a is None) != (args.b is None):
@@ -141,7 +152,7 @@ def _build_graph(n: int, pair: tuple[int, int] | None, conn: str | None = None) 
     if conn is not None:
         if pair is not None:
             raise ValueError("give either a b or --set, not both")
-        return build_circulant(n, [int(tok) for tok in conn.replace(",", " ").split()])
+        return build_circulant(n, [integer(tok) for tok in conn.replace(",", " ").split()])
     return standard_circulant(n) if pair is None else build_circulant(n, list(pair))
 
 
@@ -311,11 +322,10 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        # int() would also read "+8", "0_8" and non-ASCII digits
-        bad = [tok for tok in tokens if not re.fullmatch(r"-?[0-9]+", tok)]
-        if bad:
-            raise ColoringError(f"line {lineno}: label {bad[0]!r} is not an integer")
-        classes.append([int(tok) for tok in tokens])
+        try:
+            classes.append([integer(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ColoringError(f"line {lineno}: label {exc}") from None
     return Coloring.from_classes(n, classes)
 
 
@@ -431,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true")
     graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("n", type=int)
-    graph.add_argument("a", type=int, nargs="?", default=None)
-    graph.add_argument("b", type=int, nargs="?", default=None)
+    graph.add_argument("n", type=integer)
+    graph.add_argument("a", type=integer, nargs="?", default=None)
+    graph.add_argument("b", type=integer, nargs="?", default=None)
     span = argparse.ArgumentParser(add_help=False)
-    span.add_argument("n_from", type=int)
-    span.add_argument("n_to", type=int)
+    span.add_argument("n_from", type=integer)
+    span.add_argument("n_to", type=integer)
     span.add_argument("--csv", action="store_true")
 
     def command(name, func, help, *parents):
@@ -447,18 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("chidt", _cmd_chidt, "total dominator chromatic number for one n", graph)
     p.add_argument("--exact", action="store_true", help="also run the exact solver")
     p.add_argument("--construct", action="store_true", help="also emit and verify the coloring")
-    p.add_argument("--budget-nodes", type=int, default=SearchBudget().max_nodes)
+    p.add_argument("--budget-nodes", type=integer, default=SearchBudget().max_nodes)
     p.add_argument("--budget-seconds", type=float, default=SearchBudget().max_seconds)
-    p.add_argument("--limit", type=int, default=None, help="override the solver vertex limit")
+    p.add_argument("--limit", type=integer, default=None, help="override the solver vertex limit")
 
     p = command("sweep", _cmd_sweep, "formula and construction check over a range of n", span)
-    p.add_argument("--exact-up-to", type=int, default=None)
+    p.add_argument("--exact-up-to", type=integer, default=None)
 
     p = command("invariants", _cmd_invariants, "independence, open packing, total domination")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.add_argument("--oracle", action="store_true", help="also run brute-force searches")
     p.add_argument("--set", type=str, default=None, help="arbitrary connection set, e.g. 1,4,5")
-    p.add_argument("--limit", type=int, default=None, help="override the oracle vertex limit")
+    p.add_argument("--limit", type=integer, default=None, help="override the oracle vertex limit")
 
     p = command(
         "verify-coloring", _cmd_verify_coloring, "check a coloring file against a graph", graph
@@ -467,11 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", type=str, default=None)
 
     p = command("construct", _cmd_construct, "print the explicit coloring for one n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
 
     p = command("reduce", _cmd_reduce, "standard-form reduction of C_n(a,b)")
     for name in ("n", "a", "b"):
-        p.add_argument(name, type=int)
+        p.add_argument(name, type=integer)
 
     command("table", _cmd_table, "closed-form table over a range of n", span)
 

@@ -1,11 +1,12 @@
-"""Closed forms and brute-force oracles for independence, open packing,
-total domination and chromatic number.
+"""Closed forms and brute-force oracles for independence, open packing and
+total domination.
 
 The closed forms are the paper's claims for the standard distance-{1,3}
 family; the oracles work on any circulant graph of at most
 DEFAULT_ORACLE_LIMIT vertices, or up to the `limit` argument when the caller
 passes one.  An oracle returns only what it searched: the CLI decides which
-closed form applies to a graph and compares the two.
+closed form applies to a graph and compares the two.  The chromatic number
+oracle lives in solver.py, since it runs on the solver's coloring search.
 
 Independence and open packing share one branch-and-bound.  A set is an open
 packing exactly when no two of its members share a neighbour, that is, when
@@ -333,57 +334,3 @@ def total_domination_number_oracle(
         if witness is not None:
             return InvariantValue(size, witness)
     raise AssertionError("graph has an isolated vertex; no total dominating set exists")
-
-
-def _greedy_clique(masks: list[int], n: int) -> list[int]:
-    clique: list[int] = []
-    common = (1 << n) - 1
-    for v in range(n):
-        if common >> v & 1:
-            clique.append(v + 1)
-            common &= masks[v]
-    return clique
-
-
-def _proper_coloring_search(masks: list[int], n: int, num_colors: int) -> list[int] | None:
-    """Backtracking proper coloring with first-use color ordering.
-
-    Returns per-vertex colors (1-based) or None when no proper coloring with
-    at most `num_colors` colors exists.
-    """
-    colors = [0] * n
-    class_masks = [0] * (num_colors + 1)
-
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        nv = masks[v]
-        top = min(used + 1, num_colors)
-        for c in range(1, top + 1):
-            if class_masks[c] & nv:
-                continue
-            colors[v] = c
-            class_masks[c] |= 1 << v
-            if rec(v + 1, max(used, c)):
-                return True
-            class_masks[c] &= ~(1 << v)
-        colors[v] = 0
-        return False
-
-    return colors[:] if rec(0, 0) else None
-
-
-def chromatic_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
-    """Chromatic number by backtracking, starting from a greedy clique lower bound."""
-    _check_limit(g.n, limit)
-    masks = list(g.masks)
-    lower = max(1, len(_greedy_clique(masks, g.n)))
-    for k in range(lower, g.n + 1):
-        colors = _proper_coloring_search(masks, g.n, k)
-        if colors is not None:
-            classes: dict[int, set[int]] = {}
-            for v, c in enumerate(colors, start=1):
-                classes.setdefault(c, set()).add(v)
-            witness = Coloring.from_classes(g.n, [classes[c] for c in sorted(classes)])
-            return InvariantValue(k, witness)
-    raise AssertionError("unreachable: n colors always suffice")

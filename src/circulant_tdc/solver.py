@@ -1,9 +1,13 @@
-"""Exact total dominator chromatic number by feasibility search.
+"""The one coloring search, and the exact total dominator chromatic number.
 
-tdc_feasible decides, for one class budget, whether a total dominator
-coloring exists, by backtracking over vertices 1..n with colors assigned in
-first-use order.  Properness is checked incrementally against per-class
-member masks.  Two sound forward checks prune the tree:
+_search backtracks over vertices 1..n with colors assigned in first-use
+order, and checks properness incrementally against per-class member masks.
+Each vertex v comes with a demand set, what a class holding v can still
+cover; a class covers the intersection of its members' demand sets, and
+every vertex must be covered.  tdc_feasible asks for demand[v] = N(v), the
+common neighborhoods of a total dominator coloring.  chromatic_number_oracle
+asks for nothing: demand[v] is every vertex, so it is plain proper-coloring
+backtracking.  Two sound forward checks prune the tree:
 
 * coverage: a class's common neighborhood only shrinks as the class grows,
   so a vertex not in the union of the current common neighborhoods can only
@@ -29,29 +33,20 @@ exhausted first.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, is_tdc
 from .constructions import verify_construction
 from .graphs import CirculantGraph, is_standard_13
-from .invariants import chromatic_number_oracle, total_domination_number_oracle
-
-DEFAULT_SOLVER_LIMIT = 24
+from .invariants import InvariantValue, _check_limit, total_domination_number_oracle
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-
-class SolverLimitError(ValueError):
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        self.limit = limit
-        super().__init__(
-            f"refusing exact search on n={n} vertices (limit {limit}; "
-            "raise via limit= or --limit)"
-        )
 
 
 @dataclass(frozen=True)
@@ -116,18 +111,31 @@ def tdc_feasible(
     """
     if not (1 <= num_colors <= g.n):
         raise ValueError(f"need 1 <= num_colors <= {g.n}, got {num_colors}")
-    budget = budget or SearchBudget()
+    return _search(g, num_colors, budget or SearchBudget(), g.masks)
+
+
+def _search(
+    g: CirculantGraph, num_colors: int, budget: SearchBudget, demand: Sequence[int]
+) -> FeasibilityOutcome:
+    """The coloring search: proper colorings in which every vertex is covered.
+
+    A class covers the vertices in the intersection of demand[v] over its
+    members v, and every vertex must be covered by some class.  With
+    demand[v] = N(v) that is a total dominator coloring.  With every demand
+    set full, every class covers everything, so the coverage and counting
+    prunes never fire and the search is plain first-use proper-coloring
+    backtracking.  All demand sets must have the same size.
+    """
     n = g.n
     full = g.full_mask
-    nbr = list(g.masks)
-    degree = g.degree
+    nbr = g.masks
+    outside = [full ^ d for d in demand]
 
-    # has_future_neighbor[v] = vertices with at least one neighbor among the
-    # still-uncolored suffix {v+1..n} (0-based: bits v..n-1); adjacency is
-    # symmetric, so that is the union of the suffix's neighborhoods
-    has_future_neighbor = [0] * (n + 1)
+    # can_cover_later[v] = vertices that some class holding a vertex of the
+    # still-uncolored suffix {v+1..n} (0-based: bits v..n-1) could cover
+    can_cover_later = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
-        has_future_neighbor[v] = has_future_neighbor[v + 1] | nbr[v]
+        can_cover_later[v] = can_cover_later[v + 1] | demand[v]
 
     member = [0] * (num_colors + 1)
     cn = [full] * (num_colors + 1)
@@ -141,14 +149,15 @@ def tdc_feasible(
 
     def rec(v: int, used: int, slack: int, cover: int) -> list[int] | None:
         # cover = union of cn[1..used]; slack = sum of |cn[1..used]| plus
-        # degree per empty class, minus n: the counting bound fails below 0
+        # |demand| per empty class, minus n: the counting bound fails below 0
         nonlocal nodes, poll
         if v == n:
             return member[1 : used + 1] if cover == full else None
         bit = 1 << v
         nv = nbr[v]
-        outside = full ^ nv
-        future = has_future_neighbor[v + 1]
+        dv = demand[v]
+        out = outside[v]
+        future = can_cover_later[v + 1]
         for c in range(1, (used + 1 if used < num_colors else num_colors) + 1):
             saved_member = member[c]
             if saved_member & nv:
@@ -160,13 +169,13 @@ def tdc_feasible(
                 poll = min(nodes + 0x1000, max_nodes + 1)
             saved_cn = cn[c]
             if c > used:
-                # a new class's common neighborhood is N(v), of size degree
+                # a new class's common neighborhood is demand[v], of full size
                 if slack < 0:
                     continue
-                now_used, now_slack, new_cn = c, slack, nv
-                now_cover = cover | nv
+                now_used, now_slack, new_cn = c, slack, dv
+                now_cover = cover | dv
             else:
-                lost = saved_cn & outside
+                lost = saved_cn & out
                 if lost:
                     now_slack = slack - lost.bit_count()
                     if now_slack < 0:
@@ -190,7 +199,7 @@ def tdc_feasible(
         return None
 
     try:
-        masks = rec(0, 0, degree * num_colors - n, 0)
+        masks = rec(0, 0, demand[0].bit_count() * num_colors - n, 0)
     except _BudgetHit:
         return FeasibilityOutcome(
             status=BUDGET_EXCEEDED,
@@ -220,6 +229,31 @@ def tdc_feasible(
     )
 
 
+# the chromatic oracle has no budget: the vertex cap alone bounds it
+_UNBOUNDED = SearchBudget(max_nodes=sys.maxsize, max_seconds=math.inf)
+
+
+def chromatic_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
+    """Chromatic number: the coloring search with nothing to cover.
+
+    Class counts are tried upward from the size of a greedy clique (each
+    vertex in turn joins if it is adjacent to every member so far).  The
+    witness is the first coloring found, classes in first-use order.
+    """
+    _check_limit(g.n, limit)
+    clique, common = 0, g.full_mask
+    for v, nv in enumerate(g.masks):
+        if common >> v & 1:
+            clique += 1
+            common &= nv
+    demand = [g.full_mask] * g.n
+    for k in range(clique, g.n + 1):
+        coloring = _search(g, k, _UNBOUNDED, demand).coloring
+        if coloring is not None:
+            return InvariantValue(k, coloring)
+    raise AssertionError("unreachable: n colors always suffice")
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     """Exact total dominator chromatic number with witness and bound provenance."""
@@ -246,18 +280,16 @@ def tdc_number_exact(
     standard distance-{1,3} graph, the size of the explicit construction
     (otherwise their sum), then tests each class count in increasing order.
     Raises BudgetExceededError with the bracket found so far if any level
-    exhausts its budget, and SolverLimitError above the vertex limit.
+    exhausts its budget, and OracleLimitError above the vertex limit.
     """
-    eff_limit = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    if g.n > eff_limit:
-        raise SolverLimitError(g.n, eff_limit)
+    _check_limit(g.n, limit)
     if not g.degree:
         raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     budget = budget or SearchBudget()
     started = time.monotonic()
 
-    chromatic = chromatic_number_oracle(g, limit=eff_limit)
-    domination = total_domination_number_oracle(g, limit=eff_limit)
+    chromatic = chromatic_number_oracle(g, limit=limit)
+    domination = total_domination_number_oracle(g, limit=limit)
     chi = chromatic.oracle
     gamma_t = domination.oracle
     if chi >= gamma_t:

@@ -3,8 +3,10 @@
 Everything here is built straight from the definitions using dict-of-set
 adjacency, deliberately sharing no code with the package's offset and
 bitmask fast paths, so the two sides of every comparison stay independent.
-The coloring helpers at the end take the package's graph and return its
-Coloring, but read only the vertex count and the connection set.
+The chromatic number reference runs on bitmasks, but builds them from the
+dict adjacency itself.  The coloring helpers at the end take the package's
+graph and return its Coloring, but read only the vertex count and the
+connection set.
 """
 
 import random
@@ -139,6 +141,49 @@ def tdc_feasible_plain(n, adj, num_colors):
         return False
 
     return rec(1, 0)
+
+
+def _proper_coloring_search(masks: list[int], n: int, num_colors: int) -> list[int] | None:
+    """Backtracking proper coloring with first-use color ordering.
+
+    Returns per-vertex colors (1-based) or None when no proper coloring with
+    at most `num_colors` colors exists.
+    """
+    colors = [0] * n
+    class_masks = [0] * (num_colors + 1)
+
+    def rec(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        nv = masks[v]
+        top = min(used + 1, num_colors)
+        for c in range(1, top + 1):
+            if class_masks[c] & nv:
+                continue
+            colors[v] = c
+            class_masks[c] |= 1 << v
+            if rec(v + 1, max(used, c)):
+                return True
+            class_masks[c] &= ~(1 << v)
+        colors[v] = 0
+        return False
+
+    return colors[:] if rec(0, 0) else None
+
+
+def chromatic_number(n, adj):
+    """Least k with a proper k-coloring, and the first one found, as sorted classes.
+
+    The search is the standalone first-use backtracking the package's
+    chromatic oracle ran before it moved onto the solver's coloring search,
+    kept unchanged so that the two stay comparable witness for witness.
+    """
+    masks = [sum(1 << (u - 1) for u in adj[v]) for v in range(1, n + 1)]
+    for k in range(1, n + 1):
+        colors = _proper_coloring_search(masks, n, k)
+        if colors is not None:
+            return k, [[v for v in range(1, n + 1) if colors[v - 1] == c] for c in range(1, k + 1)]
+    return None
 
 
 def is_isomorphism(n, adj1, adj2, images):

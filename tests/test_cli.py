@@ -309,6 +309,29 @@ class TestContract:
         assert (code, out, captured.out) == (1, "", "")
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv,token",
+        [
+            (["construct", "١٢"], "١٢"),
+            (["chidt", "1_3"], "1_3"),
+            (["invariants", "10", "--set", "1,+3"], "+3"),
+            (["invariants", "10", "--set", "1,a"], "a"),
+        ],
+        ids=["arabic-indic-digits", "underscore", "plus-sign", "letter"],
+    )
+    def test_integers_are_ascii_digits(self, capsys, argv, token):
+        # int() reads the first three tokens as 12, 13 and 3; argparse's
+        # own errors exit through SystemExit, the others through main
+        try:
+            code, out = run_cli(*argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        captured = capsys.readouterr()
+        assert (code, out, captured.out) == (1, "", "")
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert repr(token) in errors[0] and "integer" in errors[0]
+
     def test_elapsed_seconds_covers_the_command(self, tmp_path, monkeypatch):
         f = tmp_path / "c.json"
         f.write_text("[[1,3,5,7],[2,4,6,8]]")

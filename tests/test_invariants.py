@@ -231,6 +231,19 @@ class TestChromaticOracle:
             assert len(inv.witness) == inv.oracle
             assert is_proper(g, inv.witness)
 
+    # ALL_SMALL_CASES, plus the graphs of the exact workload past n = 14
+    @pytest.mark.parametrize(
+        "n,dists",
+        ALL_SMALL_CASES
+        + [pytest.param(19, (2, 6), id="19-2,6")]
+        + [pytest.param(n, (1, 4), id=f"{n}-1,4") for n in range(20, 24)]
+        + [pytest.param(25, (4, 12), id="25-4,12")],
+    )
+    def test_matches_reference(self, n, dists):
+        inv = chromatic_number_oracle(build_circulant(n, dists), limit=n)
+        k, classes = oracles.chromatic_number(n, oracles.neighbors(n, set(dists)))
+        assert (inv.oracle, inv.witness.as_lists()) == (k, classes)
+
 
 class TestPackingStructure:
     def test_n16_two_edges_everywhere(self):

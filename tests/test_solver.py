@@ -3,8 +3,8 @@ import pytest
 import oracles
 from circulant_tdc import (
     BudgetExceededError,
+    OracleLimitError,
     SearchBudget,
-    SolverLimitError,
     build_circulant,
     formula_tdc,
     is_tdc,
@@ -184,7 +184,7 @@ class TestExactValue:
         assert a.chi_dt == b.chi_dt and a.witness == b.witness
 
     def test_limit_guard(self):
-        with pytest.raises(SolverLimitError, match="limit="):
+        with pytest.raises(OracleLimitError, match="limit="):
             tdc_number_exact(standard_circulant(25))
 
     def test_levels_recorded(self):
