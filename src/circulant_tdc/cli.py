@@ -25,7 +25,15 @@ from dataclasses import dataclass, field
 
 from .coloring import Coloring, ColoringError, is_tdc
 from .constructions import verify_construction
-from .formulas import TABLE_COLUMNS, formula_rows, formula_tdc, formula_tdc_general
+from .formulas import (
+    TABLE_COLUMNS,
+    formula_rows,
+    formula_tdc,
+    formula_tdc_general,
+    independence_number_formula,
+    open_packing_number_formula,
+    total_domination_number_formula,
+)
 from .graphs import (
     CirculantGraph,
     GraphConstructionError,
@@ -37,11 +45,8 @@ from .graphs import (
 )
 from .invariants import (
     OracleLimitError,
-    independence_number_formula,
     independence_number_oracle,
-    open_packing_number_formula,
     open_packing_number_oracle,
-    total_domination_number_formula,
     total_domination_number_oracle,
 )
 from .solver import BudgetExceededError, SearchBudget, tdc_number_exact
@@ -140,6 +145,17 @@ def integer(token: str) -> int:
     return int(token)
 
 
+def decimal(token: str) -> float:
+    """The number that `token` spells as -?[0-9]+(.[0-9]+)?, else a ValueError naming it.
+
+    float() would also read "inf", "1e-3", "+3", "0_3", " 5" and non-ASCII
+    digits.
+    """
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", token):
+        raise ValueError(f"{token!r} is not a decimal number")
+    return float(token)
+
+
 def _pair(args) -> tuple[int, int] | None:
     """The optional generators a b of the graph arguments: both or neither."""
     if (args.a is None) != (args.b is None):
@@ -177,6 +193,7 @@ def _check_exact(report, result, graph, formula_value, where="", **search):
 
 def _cmd_chidt(args) -> RunReport:
     n, pair = args.n, _pair(args)
+    budget_seconds = decimal(args.budget_seconds)
     report = RunReport(
         "chidt",
         {"n": n, "a": args.a, "b": args.b, "exact": args.exact, "construct": args.construct},
@@ -210,7 +227,7 @@ def _cmd_chidt(args) -> RunReport:
         report.claim(result, "chi_dt", len(classes), "construction", tdc=tdc, classes=classes)
 
     if args.exact:
-        budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+        budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=budget_seconds)
         graph = _build_graph(n, pair)
         outcome = _check_exact(
             report, result, graph, formula_value, budget=budget, limit=args.limit
@@ -458,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="also run the exact solver")
     p.add_argument("--construct", action="store_true", help="also emit and verify the coloring")
     p.add_argument("--budget-nodes", type=integer, default=SearchBudget().max_nodes)
-    p.add_argument("--budget-seconds", type=float, default=SearchBudget().max_seconds)
+    # read by _cmd_chidt, so that a bad value is one "error:" line naming it
+    p.add_argument("--budget-seconds", default=str(SearchBudget().max_seconds))
     p.add_argument("--limit", type=integer, default=None, help="override the solver vertex limit")
 
     p = command("sweep", _cmd_sweep, "formula and construction check over a range of n", span)

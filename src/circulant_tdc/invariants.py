@@ -1,31 +1,28 @@
-"""Closed forms and brute-force oracles for independence, open packing and
-total domination.
+"""Exhaustive oracles for independence, open packing and total domination.
 
-The closed forms are the paper's claims for the standard distance-{1,3}
-family; the oracles work on any circulant graph of at most
-DEFAULT_ORACLE_LIMIT vertices, or up to the `limit` argument when the caller
-passes one.  An oracle returns only what it searched: the CLI decides which
-closed form applies to a graph and compares the two.  The chromatic number
-oracle lives in solver.py, since it runs on the solver's coloring search.
+The oracles work on any circulant graph of at most DEFAULT_ORACLE_LIMIT
+vertices, or up to the `limit` argument when the caller passes one.  An
+oracle returns only what it searched: the paper's closed forms live in
+formulas.py, and the CLI decides which of them applies to a graph and
+compares the two.  The chromatic number oracle lives in solver.py, since it
+runs on the solver's coloring search.
 
-Independence and open packing share one branch-and-bound.  A set is an open
-packing exactly when no two of its members share a neighbour, that is, when
-it is independent in the graph that joins two vertices whenever they have a
-common neighbour; the open packing oracle and the census of maximum packings
-search that graph.  The search prunes with a greedy clique cover of the
-available vertices (Balas and Yu, SIAM J. Comput. 15, 1986; Tomita and
-Seki, DMTCS 2003): an independent set holds at most one vertex of each
-clique, so the number of cliques bounds what a branch can still add.
+Independence and open packing share one search, _independent_sets_of_size,
+which yields the independent sets of a given size in lex order: it includes
+the lowest available vertex before it excludes it.  A set is an open packing
+exactly when no two of its members share a neighbour, that is, when it is
+independent in the graph that joins two vertices whenever they have a common
+neighbour; the open packing oracle and the census of maximum packings search
+that graph.  The search prunes with a greedy clique cover of the available
+vertices (Balas and Yu, SIAM J. Comput. 15, 1986; Tomita and Seki, DMTCS
+2003): an independent set holds at most one vertex of each clique, so the
+number of cliques bounds what a branch can still add.  The same cover of all
+vertices bounds the maximum, and sizes are tried downward from it; the first
+size that has a set is the maximum, and its sets come in lex order, so the
+oracles' witness is the lex-least maximum set and the census lists every one.
 
-Oracle witnesses are deterministic: ties are broken toward the
-lexicographically smallest vertex set.  The branch-and-bound includes the
-lowest available vertex before it excludes it, so it reaches sets of equal
-size in lex order.  Any sound upper bound keeps the lex-least maximum set:
-until that set is found, the best size so far is below its size, while the
-bound of a branch that holds it is at least its size, so no such branch is
-pruned; the first maximum set recorded is therefore the lex-least one.  Total
-domination scans sizes upward and stops at the first set in lex order.  Its
-search prunes with a greedy open-packing bound (Henning and Slater, "Open
+Total domination scans sizes upward and stops at the first set in lex order.
+Its search prunes with a greedy open-packing bound (Henning and Slater, "Open
 packing in graphs", 1999): uncovered vertices whose available neighbourhoods
 are pairwise disjoint each need their own new member.  The bound is sound, so
 it cuts no branch that holds a solution and the first set found is still the
@@ -71,40 +68,6 @@ class InvariantValue:
 
 
 # ---------------------------------------------------------------------------
-# closed forms (standard distance-{1,3} graph)
-
-
-def independence_number_formula(n: int) -> int:
-    """Independence number of the standard graph: n/2 for even n, (n-3)/2 for odd."""
-    if n < 4:
-        raise ValueError(f"independence closed form needs n >= 4, got {n}")
-    return n // 2 if n % 2 == 0 else (n - 3) // 2
-
-
-def open_packing_number_formula(n: int) -> int:
-    """Open packing number of the standard graph.
-
-    n//3 for 3 <= n <= 6, then n//4 - 1 when n = 4 or 6 mod 8 and n//4
-    otherwise.
-    """
-    if n < 3:
-        raise ValueError(f"open packing closed form needs n >= 3, got {n}")
-    if n <= 6:
-        return n // 3
-    if n % 8 in (4, 6):
-        return n // 4 - 1
-    return n // 4
-
-
-def total_domination_number_formula(n: int) -> int:
-    """Total domination number of the standard graph: ceil(n/4), +1 when n = 2,4 mod 8."""
-    if n < 4:
-        raise ValueError(f"total domination closed form needs n >= 4, got {n}")
-    value = (n + 3) // 4
-    return value + 1 if n % 8 in (2, 4) else value
-
-
-# ---------------------------------------------------------------------------
 # brute-force searches
 
 
@@ -130,29 +93,6 @@ def _clique_cover_tops(masks: list[int], avail: int) -> list[int]:
     return tops
 
 
-def _max_independent(
-    masks: list[int], avail: int, chosen: int = 0, best: tuple[int, int] = (0, 0)
-) -> tuple[int, int]:
-    """Lex-least maximum independent set extending `chosen` within `avail`.
-
-    Returns (size, bitmask), or `best` when nothing beats it.  Branches on the
-    lowest available vertex: include it, then loop on with it excluded.
-    Prunes on the clique cover of what is left.
-    """
-    size = chosen.bit_count()
-    tops = _clique_cover_tops(masks, avail)
-    while avail:
-        low = avail & -avail
-        v = low.bit_length() - 1
-        while tops[-1] < v:
-            tops.pop()
-        if size + len(tops) <= best[0]:
-            return best
-        best = _max_independent(masks, avail & ~(low | masks[v]), chosen | low, best)
-        avail ^= low
-    return (size, chosen) if size > best[0] else best
-
-
 def _independent_sets_of_size(
     masks: list[int], avail: int, need: int, chosen: int = 0
 ) -> Iterator[int]:
@@ -172,6 +112,21 @@ def _independent_sets_of_size(
         yield from _independent_sets_of_size(masks, avail & ~masks[v], need - 1, chosen | low)
 
 
+def _maximum_independent_sets(masks: list[int], avail: int) -> Iterator[int]:
+    """Yield every maximum independent set within `avail`, in lex order.
+
+    Sizes are tried downward from the clique cover of `avail`; the first size
+    that has a set is the maximum.
+    """
+    for size in range(len(_clique_cover_tops(masks, avail)), -1, -1):
+        sets = _independent_sets_of_size(masks, avail, size)
+        first = next(sets, None)
+        if first is not None:
+            yield first
+            yield from sets
+            return
+
+
 def _shared_neighbour_masks(g: CirculantGraph) -> list[int]:
     """Vertices other than v that share a neighbour with v, as bitmasks.
 
@@ -189,15 +144,15 @@ def _shared_neighbour_masks(g: CirculantGraph) -> list[int]:
 def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
-    size, witness = _max_independent(list(g.masks), g.full_mask)
-    return InvariantValue(size, mask_to_vertices(witness))
+    witness = next(_maximum_independent_sets(list(g.masks), g.full_mask))
+    return InvariantValue(witness.bit_count(), mask_to_vertices(witness))
 
 
 def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum open packing size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
-    size, witness = _max_independent(_shared_neighbour_masks(g), g.full_mask)
-    return InvariantValue(size, mask_to_vertices(witness))
+    witness = next(_maximum_independent_sets(_shared_neighbour_masks(g), g.full_mask))
+    return InvariantValue(witness.bit_count(), mask_to_vertices(witness))
 
 
 @dataclass(frozen=True)
@@ -237,13 +192,12 @@ def max_open_packing_structure(
     if not is_standard_13(g) or g.n < 7:
         raise ValueError("structure census applies to the standard distance-{1,3} graph, n >= 7")
     _check_limit(g.n, limit)
-    conflict = _shared_neighbour_masks(g)
-    size, _ = _max_independent(conflict, g.full_mask)
+    maximum = list(_maximum_independent_sets(_shared_neighbour_masks(g), g.full_mask))
     shapes = []
     conforms = True
     expected_edges = g.n // 8
     expected_isolated = 1 if g.n % 8 in (5, 7) else 0
-    for mask in _independent_sets_of_size(conflict, g.full_mask, size):
+    for mask in maximum:
         packing = mask_to_vertices(mask)
         edges = [
             (u, v) for u, v in combinations(packing, 2) if g.has_edge(u, v)
@@ -257,7 +211,7 @@ def max_open_packing_structure(
             conforms = False
     return PackingStructureReport(
         n=g.n,
-        packing_number=size,
+        packing_number=maximum[0].bit_count(),
         expected_edges=expected_edges,
         expected_isolated=expected_isolated,
         packings=tuple(shapes),

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .coloring import Coloring, is_tdc
 from .constructions import verify_construction
-from .graphs import CirculantGraph, is_standard_13
+from .graphs import CirculantGraph, is_standard_13, mask_to_vertices
 from .invariants import InvariantValue, _check_limit, total_domination_number_oracle
 
 FEASIBLE = "feasible"
@@ -200,30 +200,14 @@ def _search(
 
     try:
         masks = rec(0, 0, demand[0].bit_count() * num_colors - n, 0)
+        status = INFEASIBLE if masks is None else FEASIBLE
     except _BudgetHit:
-        return FeasibilityOutcome(
-            status=BUDGET_EXCEEDED,
-            num_colors=num_colors,
-            coloring=None,
-            nodes_explored=nodes,
-            elapsed_seconds=time.monotonic() - start,
-        )
+        masks, status = None, BUDGET_EXCEEDED
     elapsed = time.monotonic() - start
-    if masks is None:
-        return FeasibilityOutcome(
-            status=INFEASIBLE,
-            num_colors=num_colors,
-            coloring=None,
-            nodes_explored=nodes,
-            elapsed_seconds=elapsed,
-        )
-    classes = [
-        frozenset(i + 1 for i in range(n) if m >> i & 1) for m in masks if m
-    ]
     return FeasibilityOutcome(
-        status=FEASIBLE,
+        status=status,
         num_colors=num_colors,
-        coloring=Coloring.from_classes(n, classes),
+        coloring=None if masks is None else Coloring.from_classes(n, map(mask_to_vertices, masks)),
         nodes_explored=nodes,
         elapsed_seconds=elapsed,
     )

@@ -67,6 +67,14 @@ class TestChidt:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["١_0", "+3", "0_3", "inf"])
+    def test_budget_seconds_is_ascii_decimal(self, capsys, value):
+        # float() reads each of these; the option takes -?[0-9]+(.[0-9]+)? only
+        code, out = run_cli("chidt", "9", "--exact", "--budget-seconds", value)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == f"error: {value!r} is not a decimal number\n"
+
     def test_exact_disagreement_found_at_18(self):
         # exact search proves 7 while the closed form says 8
         code, out = run_cli("chidt", "18", "--exact")

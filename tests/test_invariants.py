@@ -211,9 +211,15 @@ class TestTotalDominationOracle:
     @pytest.mark.parametrize("n", range(25, 65))
     def test_formula_past_default_limit(self, n):
         # without the disjoint-needs prune the search takes over a minute at
-        # n = 50, so this also guards the prune
-        inv = total_domination_number_oracle(standard_circulant(n), limit=64)
-        assert inv.oracle == total_domination_number_formula(n)
+        # n = 50, so this also guards the prune; the independence and open
+        # packing oracles, whose closed forms hold for every n >= 7, ride along
+        g = standard_circulant(n)
+        for oracle, formula in (
+            (total_domination_number_oracle, total_domination_number_formula),
+            (independence_number_oracle, independence_number_formula),
+            (open_packing_number_oracle, open_packing_number_formula),
+        ):
+            assert oracle(g, limit=64).oracle == formula(n), oracle.__name__
 
 
 class TestChromaticOracle:
