@@ -13,16 +13,18 @@ backtracking.  Two sound forward checks prune the tree:
   so a vertex not in the union of the current common neighborhoods can only
   be rescued by a class that is still empty, and only if an uncolored vertex
   remains inside its neighborhood;
-* counting: the final common neighborhood sizes sum to at least n in any
-  total dominator coloring, each bounded by the current size (nonempty
-  classes) or the graph degree (classes still empty).
+* counting: for the same reason, the vertices outside that union number at
+  most |demand| (what one class can cover: the degree, for a total
+  dominator coloring) times the number of classes still empty.
 
 Both are kept incrementally, so a child node costs O(1) unless its class
 loses common neighbors: the search carries the union of the common
-neighborhoods and the counting slack (sizes summed, minus n) down the
-recursion and updates them only for the class that changed.  The O(1)
-counting test runs first; the coverage union is rebuilt, over the other
-classes, only for a child that passes it and whose class lost vertices.
+neighborhoods and the slack (their sizes summed, plus |demand| per empty
+class, minus n) down the recursion and updates them only for the class that
+changed.  A union is never larger than the sum, so a negative slack fails
+the counting test; this O(1) test runs first, and the union is rebuilt, over
+the other classes, only for a child that passes it and whose class lost
+vertices.
 
 Neither check assumes anything beyond the graph being regular of known
 degree, so verdicts are search-exact.  tdc_number_exact scans class counts
@@ -106,8 +108,9 @@ def tdc_feasible(
     """Search for a total dominator coloring with at most `num_colors` classes.
 
     Every child node counts toward the node budget once it passes the
-    properness test; the O(1) counting bound is then tested before the
-    coverage union is built.  A budget stop returns BUDGET_EXCEEDED.
+    properness test; the O(1) slack test then runs before the coverage union
+    is built, and the counting and coverage tests run on that union.  A
+    budget stop returns BUDGET_EXCEEDED.
     """
     if not (1 <= num_colors <= g.n):
         raise ValueError(f"need 1 <= num_colors <= {g.n}, got {num_colors}")
@@ -137,6 +140,9 @@ def _search(
     for v in range(n - 1, -1, -1):
         can_cover_later[v] = can_cover_later[v + 1] | demand[v]
 
+    # room[u] = the most vertices that the num_colors - u still-empty classes
+    # can cover between them
+    room = [demand[0].bit_count() * (num_colors - u) for u in range(num_colors + 1)]
     member = [0] * (num_colors + 1)
     cn = [full] * (num_colors + 1)
     max_nodes = budget.max_nodes
@@ -149,7 +155,8 @@ def _search(
 
     def rec(v: int, used: int, slack: int, cover: int) -> list[int] | None:
         # cover = union of cn[1..used]; slack = sum of |cn[1..used]| plus
-        # |demand| per empty class, minus n: the counting bound fails below 0
+        # room[used], minus n: at least |cover| + room[used] - n, which the
+        # counting test needs to be nonnegative
         nonlocal nodes, poll
         if v == n:
             return member[1 : used + 1] if cover == full else None
@@ -188,7 +195,7 @@ def _search(
                 else:
                     now_slack, new_cn, now_cover = slack, saved_cn, cover
                 now_used = used
-            if (now_cover if now_used == num_colors else now_cover | future) != full:
+            if n - now_cover.bit_count() > room[now_used] or now_cover | future != full:
                 continue
             member[c] = saved_member | bit
             cn[c] = new_cn
@@ -199,7 +206,7 @@ def _search(
         return None
 
     try:
-        masks = rec(0, 0, demand[0].bit_count() * num_colors - n, 0)
+        masks = rec(0, 0, room[0] - n, 0)
         status = INFEASIBLE if masks is None else FEASIBLE
     except _BudgetHit:
         masks, status = None, BUDGET_EXCEEDED

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import oracles
@@ -12,6 +14,22 @@ from circulant_tdc import (
     tdc_feasible,
     tdc_number_exact,
 )
+
+
+# every connection set of 1-3 distances on up to 9 vertices, and C_n(1,3) up
+# to 12; the id is n alone for C_n(1,3)
+PLAIN_CASES = [
+    pytest.param(
+        n,
+        dists,
+        id=str(n)
+        if set(dists) == oracles.normalized_distances(n, (1, 3))
+        else f"{n}-{','.join(map(str, dists))}",
+    )
+    for n in range(3, 10)
+    for r in (1, 2, 3)
+    for dists in combinations(range(1, n // 2 + 1), r)
+] + [pytest.param(n, (1, 3), id=str(n)) for n in range(10, 13)]
 
 
 class TestFeasibility:
@@ -32,18 +50,19 @@ class TestFeasibility:
         assert out.status == "budget_exceeded"
         assert out.coloring is None
 
-    @pytest.mark.parametrize("max_nodes", [1, 5, 777, 4095, 4096, 20000, 54342])
+    # C_18(2,5) with 7 classes is infeasible after a tree of 20939 nodes
+    @pytest.mark.parametrize("max_nodes", [1, 5, 777, 4095, 4096, 20000, 20938])
     def test_node_budget_stops_at_the_next_node(self, max_nodes):
         # the node that exceeds the budget is counted, then the search stops
-        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_nodes=max_nodes))
+        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_nodes=max_nodes))
         assert (out.status, out.nodes_explored) == ("budget_exceeded", max_nodes + 1)
 
     def test_node_budget_equal_to_the_tree_is_enough(self):
-        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_nodes=54343))
-        assert (out.status, out.nodes_explored) == ("infeasible", 54343)
+        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_nodes=20939))
+        assert (out.status, out.nodes_explored) == ("infeasible", 20939)
 
     def test_deadline_is_polled_every_4096_nodes(self):
-        out = tdc_feasible(standard_circulant(20), 7, SearchBudget(max_seconds=1e-9))
+        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_seconds=1e-9))
         assert (out.status, out.nodes_explored) == ("budget_exceeded", 4096)
 
     @pytest.mark.parametrize(
@@ -61,60 +80,60 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             tdc_feasible(standard_circulant(9), 10)
 
-    @pytest.mark.parametrize("n", range(6, 13))
-    def test_agrees_with_plain_search(self, n):
+    @pytest.mark.parametrize("n,dists", PLAIN_CASES)
+    def test_agrees_with_plain_search(self, n, dists):
         """Pruned search vs pruning-free reference, all class counts."""
-        adj = oracles.neighbors(n, oracles.normalized_distances(n, [1, 3]))
-        g = standard_circulant(n)
-        for k in range(2, min(n, 7) + 1):
+        adj = oracles.neighbors(n, oracles.normalized_distances(n, dists))
+        g = build_circulant(n, dists)
+        for k in range(1, n + 1):
             fast = tdc_feasible(g, k).status == "feasible"
             plain = oracles.tdc_feasible_plain(n, adj, k)
-            assert fast == plain, (n, k)
+            assert fast == plain, (n, dists, k)
 
 
 # (n, connection set, k) -> (status, nodes_explored, witness classes).  Any
 # change to the branching order or to the pruning tests moves these numbers;
 # a change that only makes nodes cheaper must keep them.
 SEARCH_TREE = {
-    (12, (1, 3), 5): ("infeasible", 1522, None),
+    (12, (1, 3), 5): ("infeasible", 1180, None),
     (12, (1, 3), 6): ("feasible", 18, [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11], [12]]),
     (16, (1, 3), 6): (
-        "feasible", 151, [[1, 3, 5, 9, 11, 13], [2, 4, 6, 10, 12, 14], [7], [8], [15], [16]]
+        "feasible", 67, [[1, 3, 5, 9, 11, 13], [2, 4, 6, 10, 12, 14], [7], [8], [15], [16]]
     ),
-    (20, (1, 3), 7): ("infeasible", 54343, None),
+    (20, (1, 3), 7): ("infeasible", 3006, None),
     (20, (1, 3), 8): (
         "feasible",
         57,
         [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11, 13, 15, 17], [12, 14, 16, 18], [19], [20]],
     ),
-    (13, (2, 6), 5): ("infeasible", 986, None),
+    (13, (2, 6), 5): ("infeasible", 635, None),
     (17, (2, 6), 7): (
         "feasible", 26, [[1, 2, 5, 6, 9, 10], [3, 4, 7, 8, 11, 12], [13], [14], [15], [16], [17]]
     ),
     (14, (1, 4), 6): ("feasible", 40, [[1, 3, 6, 12], [2, 4, 7, 13], [5, 8, 14], [9], [10], [11]]),
-    (18, (1, 4), 7): ("infeasible", 89188, None),
+    (18, (1, 4), 7): ("infeasible", 9405, None),
     (18, (1, 4), 8): (
         "feasible",
-        1631,
+        953,
         [[1, 3, 6, 16], [2, 4, 7, 12, 14], [5, 8, 13, 15], [9], [10], [11], [17], [18]],
     ),
-    (20, (1, 4), 7): ("infeasible", 17911, None),
-    (16, (2, 5), 6): ("infeasible", 5411, None),
+    (20, (1, 4), 7): ("infeasible", 693, None),
+    (16, (2, 5), 6): ("infeasible", 1829, None),
     (16, (2, 5), 7): (
-        "feasible", 6079, [[1, 2, 5, 11], [3, 6, 12, 15], [4, 7, 13, 16], [8], [9], [10], [14]]
+        "feasible", 3559, [[1, 2, 5, 11], [3, 6, 12, 15], [4, 7, 13, 16], [8], [9], [10], [14]]
     ),
-    (19, (2, 5), 7): ("infeasible", 45682, None),
+    (19, (2, 5), 7): ("infeasible", 5744, None),
     (19, (2, 5), 8): (
         "feasible",
-        4002,
+        1770,
         [[1, 2, 5, 9, 13, 17], [3, 4, 7, 11, 15, 19], [6, 18], [8], [10], [12], [14], [16]],
     ),
 }
 
 # total nodes of tdc_number_exact(standard_circulant(n)) over the levels it searches
 EXACT_NODES = {
-    6: 0, 7: 0, 8: 0, 9: 11, 10: 0, 11: 88, 12: 1581, 13: 1084, 14: 716, 15: 425,
-    16: 240, 17: 5839, 18: 3251, 19: 109811, 20: 55066,
+    6: 0, 7: 0, 8: 0, 9: 11, 10: 0, 11: 58, 12: 1204, 13: 556, 14: 290, 15: 56,
+    16: 28, 17: 807, 18: 390, 19: 10607, 20: 3030,
 }
 
 
@@ -136,6 +155,15 @@ class TestExactValue:
     def test_matches_formula_small(self, n):
         out = tdc_number_exact(standard_circulant(n))
         assert out.chi_dt == formula_tdc(n)
+
+    @pytest.mark.parametrize("n", range(19, 41))
+    def test_matches_formula_past_default_limit(self, n):
+        # every class count below the formula is exhausted, so each value
+        # here rests on a search, not on the closed form
+        g = standard_circulant(n)
+        out = tdc_number_exact(g, limit=40)
+        assert out.chi_dt == formula_tdc(n)
+        assert is_tdc(g, out.witness).tdc
 
     def test_n18_boundary_value(self):
         # the one point in the solvable range where the closed form overshoots:
