@@ -318,8 +318,20 @@ def _cmd_invariants(args) -> RunReport:
     return report
 
 
+def _reject_repeats(labels: list[int], where: str) -> None:
+    seen: set[int] = set()
+    for v in labels:
+        if v in seen:
+            raise ColoringError(f"{where}: label {v} repeats within the class")
+        seen.add(v)
+
+
 def parse_coloring_file(text: str, n: int) -> Coloring:
-    """Parse a coloring file: JSON array of arrays, or one class per line."""
+    """Parse a coloring file: JSON array of arrays, or one class per line.
+
+    A label repeated within one class is an error here, since a class is a
+    set and would silently drop the repeat.
+    """
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
@@ -333,6 +345,7 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
             bad = [v for v in cls if not isinstance(v, int) or isinstance(v, bool)]
             if bad:
                 raise ColoringError(f"class {idx}: label {json.dumps(bad[0])} is not an integer")
+            _reject_repeats(cls, f"class {idx}")
         return Coloring.from_classes(n, data)
     classes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -340,9 +353,11 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
         if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            classes.append([integer(tok) for tok in tokens])
+            labels = [integer(tok) for tok in tokens]
         except ValueError as exc:
             raise ColoringError(f"line {lineno}: label {exc}") from None
+        _reject_repeats(labels, f"line {lineno}")
+        classes.append(labels)
     return Coloring.from_classes(n, classes)
 
 

@@ -10,9 +10,7 @@ All arithmetic is exact integer arithmetic; ceil(n/8) is (n + 7) // 8.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .graphs import GraphConstructionError, reduce_to_standard
+from .graphs import reduce_to_standard
 
 
 class FormulaConsistencyError(ValueError):
@@ -44,10 +42,6 @@ def formula_tdc_general(n: int, a: int, b: int) -> int:
     """
     if n < 6:
         raise ValueError(f"closed form needs n >= 6, got {n}")
-    if gcd(a, n) != 1:
-        raise GraphConstructionError(
-            f"hypothesis gcd(a, n) = 1 fails: gcd({a}, {n}) = {gcd(a, n)}"
-        )
     reduction = reduce_to_standard(n, a, b)
     if reduction.standard_c != 3:
         raise ValueError(

@@ -10,16 +10,20 @@ runs on the solver's coloring search.
 Independence and open packing share one search, _independent_sets_of_size,
 which yields the independent sets of a given size in lex order: it includes
 the lowest available vertex before it excludes it.  A set is an open packing
-exactly when no two of its members share a neighbour, that is, when it is
-independent in the graph that joins two vertices whenever they have a common
-neighbour; the open packing oracle and the census of maximum packings search
-that graph.  The search prunes with a greedy clique cover of the available
-vertices (Balas and Yu, SIAM J. Comput. 15, 1986; Tomita and Seki, DMTCS
-2003): an independent set holds at most one vertex of each clique, so the
-number of cliques bounds what a branch can still add.  The same cover of all
-vertices bounds the maximum, and sizes are tried downward from it; the first
-size that has a set is the maximum, and its sets come in lex order, so the
-oracles' witness is the lex-least maximum set and the census lists every one.
+exactly when no two of its members share a neighbour.  In C_n(S) two
+vertices share a neighbour exactly when they differ by o - p for offsets
+o != p, so the open packings are the independent sets of another circulant,
+C_n(D) with D = {o - p} (C_n(2,4,6) for C_n(1,3)), and the open packing
+number is the independence oracle run on that graph.  The search prunes with
+a greedy clique cover of the available vertices (Balas and Yu, SIAM J.
+Comput. 15, 1986; Tomita and Seki, DMTCS 2003): an independent set holds at
+most one vertex of each clique, so the number of cliques bounds what a
+branch can still add.  The same cover of all vertices bounds the maximum,
+and sizes are tried downward from it; the first size that has a set is the
+maximum, and the first set of that size is the oracle's witness, the
+lex-least maximum set.  Nothing here lists every maximum set: the census of
+maximum packings behind the paper's packing-shape claim is a test
+reference, built from the definitions in tests/oracles.py.
 
 Total domination scans sizes upward and stops at the first set in lex order.
 Its search prunes with a greedy open-packing bound (Henning and Slater, "Open
@@ -32,11 +36,10 @@ lex-first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .coloring import Coloring
-from .graphs import CirculantGraph, is_standard_13, mask_to_vertices
+from .graphs import CirculantGraph, mask_to_vertices
 
 DEFAULT_ORACLE_LIMIT = 24
 
@@ -112,111 +115,40 @@ def _independent_sets_of_size(
         yield from _independent_sets_of_size(masks, avail & ~masks[v], need - 1, chosen | low)
 
 
-def _maximum_independent_sets(masks: list[int], avail: int) -> Iterator[int]:
-    """Yield every maximum independent set within `avail`, in lex order.
+def _maximum_independent_set(masks: list[int], avail: int) -> int:
+    """Lex-least maximum independent set within `avail`.
 
     Sizes are tried downward from the clique cover of `avail`; the first size
-    that has a set is the maximum.
+    that has a set is the maximum, and its first set is the lex-least.
     """
-    for size in range(len(_clique_cover_tops(masks, avail)), -1, -1):
-        sets = _independent_sets_of_size(masks, avail, size)
-        first = next(sets, None)
-        if first is not None:
-            yield first
-            yield from sets
-            return
+    size = len(_clique_cover_tops(masks, avail))
+    while (found := next(_independent_sets_of_size(masks, avail, size), None)) is None:
+        size -= 1
+    return found
 
 
-def _shared_neighbour_masks(g: CirculantGraph) -> list[int]:
-    """Vertices other than v that share a neighbour with v, as bitmasks.
+def _packing_graph(g: CirculantGraph) -> CirculantGraph:
+    """The circulant whose independent sets are the open packings of g.
 
-    Open packings of g are exactly the independent sets of this graph.
+    Vertices u and v share a neighbour exactly when v - u = o - p for two
+    offsets o != p of g, so this is C_n(D) with D the circular distances of
+    those differences; C_n(1,3) gives C_n(2,4,6).  It reads only the offsets.
     """
-    conflict = []
-    for v, nv in enumerate(g.masks):
-        m = 0
-        for u in mask_to_vertices(nv):
-            m |= g.masks[u - 1]
-        conflict.append(m & ~(1 << v))
-    return conflict
+    n = g.n
+    diffs = {(o - p) % n for o in g.offsets for p in g.offsets} - {0}
+    return CirculantGraph(n, tuple(sorted({min(d, n - d) for d in diffs})))
 
 
 def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
-    witness = next(_maximum_independent_sets(list(g.masks), g.full_mask))
+    witness = _maximum_independent_set(list(g.masks), g.full_mask)
     return InvariantValue(witness.bit_count(), mask_to_vertices(witness))
 
 
 def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum open packing size by exhaustive search, with lex-least witness."""
-    _check_limit(g.n, limit)
-    witness = next(_maximum_independent_sets(_shared_neighbour_masks(g), g.full_mask))
-    return InvariantValue(witness.bit_count(), mask_to_vertices(witness))
-
-
-@dataclass(frozen=True)
-class PackingShape:
-    """Induced shape of one maximum open packing: its edges and isolated vertices."""
-
-    vertices: tuple[int, ...]
-    induced_edges: tuple[tuple[int, int], ...]
-    isolated: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PackingStructureReport:
-    """Shape census over all maximum open packings of one standard graph.
-
-    `conforms` holds when every maximum packing induces exactly
-    `expected_edges` edges plus `expected_isolated` isolated vertices.
-    """
-
-    n: int
-    packing_number: int
-    expected_edges: int
-    expected_isolated: int
-    packings: tuple[PackingShape, ...]
-    conforms: bool
-
-
-def max_open_packing_structure(
-    g: CirculantGraph, limit: int | None = None
-) -> PackingStructureReport:
-    """Enumerate every maximum open packing and classify its induced subgraph.
-
-    On the standard graph the expectation is n//8 induced edges, plus one
-    isolated vertex exactly when n = 5 or 7 mod 8.  The claim quantifies over
-    all maximum packings, so all of them are enumerated.
-    """
-    if not is_standard_13(g) or g.n < 7:
-        raise ValueError("structure census applies to the standard distance-{1,3} graph, n >= 7")
-    _check_limit(g.n, limit)
-    maximum = list(_maximum_independent_sets(_shared_neighbour_masks(g), g.full_mask))
-    shapes = []
-    conforms = True
-    expected_edges = g.n // 8
-    expected_isolated = 1 if g.n % 8 in (5, 7) else 0
-    for mask in maximum:
-        packing = mask_to_vertices(mask)
-        edges = [
-            (u, v) for u, v in combinations(packing, 2) if g.has_edge(u, v)
-        ]
-        matched = {x for e in edges for x in e}
-        isolated = tuple(v for v in packing if v not in matched)
-        shapes.append(
-            PackingShape(vertices=packing, induced_edges=tuple(edges), isolated=isolated)
-        )
-        if len(edges) != expected_edges or len(isolated) != expected_isolated:
-            conforms = False
-    return PackingStructureReport(
-        n=g.n,
-        packing_number=maximum[0].bit_count(),
-        expected_edges=expected_edges,
-        expected_isolated=expected_isolated,
-        packings=tuple(shapes),
-        conforms=conforms,
-    )
+    return independence_number_oracle(_packing_graph(g), limit)
 
 
 def _lex_first_total_dominating(

@@ -4,12 +4,14 @@ Everything here is built straight from the definitions using dict-of-set
 adjacency, deliberately sharing no code with the package's offset and
 bitmask fast paths, so the two sides of every comparison stay independent.
 The chromatic number reference runs on bitmasks, but builds them from the
-dict adjacency itself.  The coloring helpers at the end take the package's
-graph and return its Coloring, but read only the vertex count and the
-connection set.
+dict adjacency itself.  The census of maximum open packings, which tests the
+paper's packing-shape claim, and the coloring helpers at the end take the
+package's graph, but read only its vertex count and connection set; the
+coloring helpers return its Coloring.
 """
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from circulant_tdc import Coloring, ColoringError
@@ -103,6 +105,75 @@ def max_open_packing(n, adj):
 
 def open_packing_number(n, adj):
     return len(max_open_packing(n, adj))
+
+
+def shared_neighbour_graph(adj):
+    """Joins two vertices with a common neighbour; its independent sets are the open packings."""
+    return {u: {w for w in adj if w != u and adj[u] & adj[w]} for u in adj}
+
+
+@dataclass(frozen=True)
+class PackingShape:
+    """Induced shape of one maximum open packing: its edges and isolated vertices."""
+
+    vertices: tuple
+    induced_edges: tuple
+    isolated: tuple
+
+
+@dataclass(frozen=True)
+class PackingStructureReport:
+    """Shape census over all maximum open packings of one standard graph.
+
+    `conforms` holds when every maximum packing induces exactly
+    `expected_edges` edges plus `expected_isolated` isolated vertices.
+    """
+
+    n: int
+    packing_number: int
+    expected_edges: int
+    expected_isolated: int
+    packings: tuple
+    conforms: bool
+
+
+def max_open_packing_structure(g):
+    """Every maximum open packing of C_n(1,3), n >= 7, with its induced shape.
+
+    The paper's claim: every maximum packing induces n//8 edges, plus one
+    isolated vertex exactly when n = 5 or 7 mod 8.  The claim quantifies over
+    all maximum packings, so all of them are listed, in lex order: the open
+    packings are the independent sets of shared_neighbour_graph, and
+    independent_sets yields the sets of each size in lex order.  Reads only
+    the package graph's vertex count and connection set.
+    """
+    n = g.n
+    if n < 7 or set(g.connection_set) != {1, 3}:
+        raise ValueError("structure census applies to the standard distance-{1,3} graph, n >= 7")
+    adj = neighbors(n, {1, 3})
+    packings = independent_sets(n, shared_neighbour_graph(adj))
+    size = max(map(len, packings))
+    expected_edges = n // 8
+    expected_isolated = 1 if n % 8 in (5, 7) else 0
+    shapes = []
+    for packing in packings:
+        if len(packing) != size:
+            continue
+        edges = tuple((u, v) for u, v in combinations(packing, 2) if v in adj[u])
+        matched = {x for e in edges for x in e}
+        isolated = tuple(v for v in packing if v not in matched)
+        shapes.append(PackingShape(packing, edges, isolated))
+    return PackingStructureReport(
+        n=n,
+        packing_number=size,
+        expected_edges=expected_edges,
+        expected_isolated=expected_isolated,
+        packings=tuple(shapes),
+        conforms=all(
+            len(p.induced_edges) == expected_edges and len(p.isolated) == expected_isolated
+            for p in shapes
+        ),
+    )
 
 
 def min_total_dominating_set(n, adj):

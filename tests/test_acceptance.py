@@ -23,7 +23,6 @@ from circulant_tdc import (
     independence_number_oracle,
     is_proper,
     is_tdc,
-    max_open_packing_structure,
     open_packing_number_formula,
     open_packing_number_oracle,
     reduce_to_standard,
@@ -158,7 +157,7 @@ def _cn_size_violations():
 def _packing_structure_violations():
     bad = []
     for n in range(7, 21):
-        rep = max_open_packing_structure(standard_circulant(n))
+        rep = oracles.max_open_packing_structure(standard_circulant(n))
         if not rep.conforms:
             examples = [
                 p.vertices

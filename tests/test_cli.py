@@ -249,6 +249,22 @@ class TestVerifyColoring:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"error: {f}: line 2: label {label!r} is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "name,text,where",
+        [
+            ("c.txt", "1 1 3 5\n2 4 6\n", "line 1: label 1"),
+            ("c.json", "[[1,3,5,5],[2,4,6]]", "class 1: label 5"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_rejects_label_repeated_within_a_class(self, tmp_path, capsys, name, text, where):
+        # a class is a set, so the repeat would otherwise vanish unreported
+        f = tmp_path / name
+        f.write_text(text)
+        code, out = run_cli("verify-coloring", "6", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {f}: {where} repeats within the class\n"
+
 
 class TestConstructReduceTable:
     def test_construct_prints_classes(self):

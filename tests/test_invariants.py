@@ -11,14 +11,13 @@ from circulant_tdc import (
     independence_number_formula,
     independence_number_oracle,
     is_proper,
-    max_open_packing_structure,
     open_packing_number_formula,
     open_packing_number_oracle,
     standard_circulant,
     total_domination_number_formula,
     total_domination_number_oracle,
 )
-from circulant_tdc.invariants import _clique_cover_tops, _shared_neighbour_masks
+from circulant_tdc.invariants import _clique_cover_tops, _packing_graph
 
 
 # C_n(1,3) cases are named by n alone, other connection sets "n-gens"; an n
@@ -146,6 +145,17 @@ class TestOpenPackingOracle:
         assert open_packing_number_oracle(standard_circulant(n)).oracle <= n // 4
 
 
+class TestPackingGraph:
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_joins_exactly_the_pairs_with_a_common_neighbour(self, n):
+        # every connection set of 1-3 circular distances on n vertices
+        for r in (1, 2, 3):
+            for dists in combinations(range(1, n // 2 + 1), r):
+                shared = oracles.shared_neighbour_graph(oracles.neighbors(n, set(dists)))
+                expected = [sum(1 << (w - 1) for w in shared[u]) for u in range(1, n + 1)]
+                assert list(_packing_graph(build_circulant(n, dists)).masks) == expected, dists
+
+
 def _brute_alpha(adj, vertices):
     """Largest independent subset of `vertices` under dict-of-set adjacency."""
     for size in range(len(vertices), 0, -1):
@@ -166,13 +176,13 @@ class TestCliqueCoverBound:
     )
     def test_bounds_every_suffix_of_avail(self, n, gens):
         # the searches read the number of tops >= v as a bound on the
-        # vertices of avail from v up, in the graph and in its
-        # shared-neighbour graph (whose independent sets are open packings)
+        # vertices of avail from v up, in the graph and in its packing
+        # graph (whose independent sets are open packings)
         g = build_circulant(n, gens)
         adj = oracles.neighbors(n, oracles.normalized_distances(n, gens))
-        shared = {u: {w for w in adj if w != u and adj[u] & adj[w]} for u in adj}
+        shared = oracles.shared_neighbour_graph(adj)
         rng = random.Random(n * 100 + sum(gens))
-        for masks, graph_adj in ((g.masks, adj), (_shared_neighbour_masks(g), shared)):
+        for masks, graph_adj in ((g.masks, adj), (_packing_graph(g).masks, shared)):
             for _ in range(20):
                 avail = rng.getrandbits(n)
                 tops = _clique_cover_tops(list(masks), avail)
@@ -253,31 +263,31 @@ class TestChromaticOracle:
 
 class TestPackingStructure:
     def test_n16_two_edges_everywhere(self):
-        rep = max_open_packing_structure(standard_circulant(16))
+        rep = oracles.max_open_packing_structure(standard_circulant(16))
         assert rep.packing_number == 4
         assert rep.conforms
         assert all(len(p.induced_edges) == 2 for p in rep.packings)
 
     def test_n13_edge_plus_isolated(self):
-        rep = max_open_packing_structure(standard_circulant(13))
+        rep = oracles.max_open_packing_structure(standard_circulant(13))
         assert rep.conforms
         assert all(len(p.induced_edges) == 1 and len(p.isolated) == 1 for p in rep.packings)
 
     def test_n15_has_spread_counterexamples(self):
         # {1, 6, 11} is a maximum open packing inducing no edge at all, so
         # the expected 1-edge-plus-isolated shape does not hold universally
-        rep = max_open_packing_structure(standard_circulant(15))
+        rep = oracles.max_open_packing_structure(standard_circulant(15))
         assert not rep.conforms
         assert (1, 6, 11) in {p.vertices for p in rep.packings}
 
     def test_n10_spread_pair(self):
-        rep = max_open_packing_structure(standard_circulant(10))
+        rep = oracles.max_open_packing_structure(standard_circulant(10))
         assert not rep.conforms
         assert (1, 6) in {p.vertices for p in rep.packings}
 
     def test_rejects_non_standard(self):
         with pytest.raises(ValueError):
-            max_open_packing_structure(build_circulant(12, [1, 4]))
+            oracles.max_open_packing_structure(build_circulant(12, [1, 4]))
 
 
 class TestOracleLimits:
