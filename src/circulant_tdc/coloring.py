@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Collection, Iterable
 
@@ -27,7 +28,19 @@ class Coloring:
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "Coloring":
+        """Freeze `classes` into a Coloring, or name the first fault.
+
+        Nonempty classes whose sizes sum to n and whose union has n members,
+        all in 1..n, are exactly the partitions of {1..n}, and that test
+        runs in C.  Only input that fails it walks the classes in order, so
+        the first fault found (empty class, label out of range, repeat,
+        uncovered vertex) is the one reported.
+        """
         sets = tuple(frozenset(c) for c in classes)
+        if all(sets) and sum(map(len, sets)) == n:
+            union = frozenset().union(*sets)
+            if union and len(union) == n and min(union) >= 1 and max(union) <= n:
+                return Coloring(n=n, classes=sets)
         seen: set[int] = set()
         for idx, cls in enumerate(sets):
             if not cls:
@@ -74,14 +87,34 @@ class ColoringReport:
 
     tdc holds exactly when the coloring is proper and `uncovered` is empty;
     `uncovered` lists, in sorted order, the vertices that totally dominate
-    no class.
+    no class.  The per-class records in `classes` are built from `graph`
+    and `coloring` on first read and then kept, so a caller that wants only
+    the verdict never pays for them.
     """
 
     n: int
     proper: bool
-    classes: tuple[ClassRecord, ...]
     uncovered: tuple[int, ...]
     tdc: bool
+    graph: CirculantGraph = field(repr=False)
+    coloring: Coloring = field(repr=False)
+
+    @cached_property
+    def classes(self) -> tuple[ClassRecord, ...]:
+        n, offsets = self.n, self.graph.offsets
+        offset_set = frozenset(offsets)
+        records = []
+        for cls in self.coloring.classes:
+            cn = sorted(_common_neighbors(n, offsets, offset_set, cls))
+            records.append(
+                ClassRecord(
+                    vertices=tuple(sorted(cls)),
+                    size=len(cls),
+                    common_neighborhood=tuple(cn),
+                    cn_size=len(cn),
+                )
+            )
+        return tuple(records)
 
     @property
     def cn_size_sum(self) -> int:
@@ -127,21 +160,24 @@ def is_proper(g: CirculantGraph, coloring: Coloring) -> bool:
     )
 
 
-def _common_neighbors(g: CirculantGraph, members: Collection[int]) -> frozenset[int]:
-    """Intersection of the members' neighborhoods; members is nonempty.
+def _common_neighbors(
+    n: int, offsets: tuple[int, ...], offset_set: Collection[int], members: Collection[int]
+) -> list[int]:
+    """Common neighbors of the nonempty `members` in the circulant on 1..n.
 
-    A common neighbor is adjacent to every member, so a class larger than
-    the degree has none.
+    A common neighbor is adjacent to every member, so it is some neighbor
+    u = first + o of one member, and u is adjacent to another member w
+    exactly when (u - w) mod n is an offset (never for u = w).  A class
+    larger than the degree has none.
     """
-    if len(members) > g.degree:
-        return frozenset()
+    if len(members) > len(offsets):
+        return []
     first, *rest = members
-    cn = g.neighbors(first)
-    for v in rest:
-        if not cn:
-            break
-        cn &= g.neighbors(v)
-    return cn
+    return [
+        (first + o - 1) % n + 1
+        for o in offsets
+        if all((first + o - w) % n in offset_set for w in rest)
+    ]
 
 
 def common_neighborhood(g: CirculantGraph, cls: Iterable[int]) -> frozenset[int]:
@@ -155,39 +191,41 @@ def common_neighborhood(g: CirculantGraph, cls: Iterable[int]) -> frozenset[int]
     for v in members:
         if not (1 <= v <= g.n):
             raise ColoringError(f"vertex {v} is outside 1..{g.n}")
-    return _common_neighbors(g, members)
+    offsets = g.offsets
+    return frozenset(_common_neighbors(g.n, offsets, frozenset(offsets), members))
 
 
 def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
-    """Full total-dominator-coloring report for `coloring` on `g`.
+    """Total-dominator-coloring verdict for `coloring` on `g`.
 
     A proper coloring is a TDC iff the common neighborhoods of its classes
     cover the whole vertex set, so `uncovered` is computed as the complement
-    of that union.  Reads only the graph's offsets: besides sorting each
-    class for its record, O(n * degree) time and O(n) memory.
+    of that union.  One pass over the classes clears each common neighbor
+    straight from the offsets: a singleton {v} clears v + o for every offset
+    o, and no class is sorted or recorded.  Reads only the graph's offsets:
+    O(n * degree) time and O(n) memory.  The report's per-class records are
+    built only when first read.
     """
     _require_same_order(g, coloring)
     proper = is_proper(g, coloring)
-    records = []
+    n, offsets = g.n, g.offsets
+    offset_set = frozenset(offsets)
     # missing[v-1] stays 1 until some class's common neighborhood holds v
-    missing = bytearray(b"\x01") * g.n
+    missing = bytearray(b"\x01") * n
     for cls in coloring.classes:
-        cn = sorted(_common_neighbors(g, cls))
-        for u in cn:
-            missing[u - 1] = 0
-        records.append(
-            ClassRecord(
-                vertices=tuple(sorted(cls)),
-                size=len(cls),
-                common_neighborhood=tuple(cn),
-                cn_size=len(cn),
-            )
-        )
-    uncovered = tuple(compress(range(1, g.n + 1), missing))
+        if len(cls) == 1:
+            (v,) = cls
+            for o in offsets:
+                missing[(v - 1 + o) % n] = 0
+        else:
+            for u in _common_neighbors(n, offsets, offset_set, cls):
+                missing[u - 1] = 0
+    uncovered = tuple(compress(range(1, n + 1), missing))
     return ColoringReport(
-        n=g.n,
+        n=n,
         proper=proper,
-        classes=tuple(records),
         uncovered=uncovered,
         tdc=proper and not uncovered,
+        graph=g,
+        coloring=coloring,
     )

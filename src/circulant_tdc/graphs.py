@@ -4,10 +4,11 @@ Vertices are labelled 1..n to match the usual convention for these graphs.
 A graph is its vertex count and its connection set; every neighborhood is
 a rotation of the same offsets, so N(v) = {v + o mod n : o in offsets}.
 The certificate checks (`is_tdc`, `verify_isomorphism`) read only the
-offsets and run in O(n * degree).  The exhaustive searches want
-neighborhoods as bitmasks (bit v-1 stands for vertex v): `masks` builds
-them on first use and keeps them, about n^2/16 bytes, so only the graphs
-that are searched ever pay for them.
+offsets and run in O(n * degree); `is_tdc` decides without building any
+per-class record, and builds its records only if a caller reads them.  The
+exhaustive searches want neighborhoods as bitmasks (bit v-1 stands for
+vertex v): `masks` builds them on first use and keeps them, about n^2/16
+bytes, so only the graphs that are searched ever pay for them.
 """
 
 from __future__ import annotations

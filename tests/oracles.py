@@ -46,6 +46,13 @@ def common_neighbors(adj, cls):
     return result if result is not None else set()
 
 
+def is_partition(n, classes):
+    """True iff the classes, each read as a set, are nonempty and every
+    label in 1..n lies in exactly one of them."""
+    sets = [set(c) for c in classes]
+    return all(sets) and sorted(v for s in sets for v in s) == list(range(1, n + 1))
+
+
 def is_proper_classes(adj, classes):
     return all(not (set(c) & adj[v]) for c in classes for v in c)
 

@@ -43,21 +43,69 @@ class TestColoringValidation:
         c = Coloring.from_classes(8, [[1, 3, 5, 7], [2, 4, 6, 8]])
         assert len(c) == 2
 
+    @staticmethod
+    def _message(n, classes):
+        with pytest.raises(ColoringError) as exc:
+            Coloring.from_classes(n, classes)
+        return str(exc.value)
+
     def test_rejects_empty_class(self):
-        with pytest.raises(ColoringError, match="empty"):
-            Coloring.from_classes(4, [[1, 2, 3, 4], []])
+        assert self._message(4, [[1, 2, 3, 4], []]) == "class 2 is empty"
 
     def test_rejects_duplicate_vertex(self):
-        with pytest.raises(ColoringError, match="vertex 2"):
-            Coloring.from_classes(4, [[1, 2], [2, 3, 4]])
+        assert self._message(4, [[1, 2], [2, 3, 4]]) == "vertex 2 appears in more than one class"
 
     def test_rejects_missing_vertex(self):
-        with pytest.raises(ColoringError, match="vertex 3"):
-            Coloring.from_classes(4, [[1, 2], [4]])
+        assert self._message(4, [[1, 2], [4]]) == "vertex 3 is not covered by any class"
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ColoringError, match="vertex 9"):
-            Coloring.from_classes(8, [[1, 2, 9], [3, 4, 5, 6, 7, 8]])
+        for label in (0, 9):
+            message = self._message(8, [[1, 2, label], [3, 4, 5, 6, 7, 8]])
+            assert message == f"vertex {label} is outside 1..8"
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ([[1, 2], [], [3, 4, 5]], "class 2 is empty"),
+            # the sizes sum to n, so only the union shows the repeat
+            ([[1, 2], [2, 3]], "vertex 2 appears in more than one class"),
+        ],
+        ids=["empty-before-out-of-range", "repeat-before-missing"],
+    )
+    def test_reports_first_fault(self, classes, message):
+        assert self._message(4, classes) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepts_exactly_the_partitions(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups: dict[int, list[int]] = {}
+        for v, label in enumerate(labels, start=1):
+            groups.setdefault(label, []).append(v)
+        classes = list(groups.values())
+        # perturb a partition: add an empty class, or drop, add or replace a
+        # label; a replaced label keeps the sizes summing to n
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(["class", "drop", "add", "replace"]))
+            idx = data.draw(st.integers(0, len(classes) - 1))
+            label = data.draw(st.integers(-1, n + 2))
+            if kind == "class":
+                classes.insert(idx, [])
+            elif kind == "drop":
+                classes[idx] = classes[idx][1:]
+            elif kind == "add":
+                classes[idx] = classes[idx] + [label]
+            elif classes[idx]:
+                classes[idx] = [label] + classes[idx][1:]
+        expected = oracles.is_partition(n, classes)
+        try:
+            c = Coloring.from_classes(n, classes)
+        except ColoringError:
+            assert not expected
+        else:
+            assert expected
+            assert c.classes == tuple(frozenset(cls) for cls in classes)
 
 
 class TestIsProper:
@@ -156,20 +204,31 @@ class TestIsTdc:
         adj = oracles.neighbors(n, distances)
         rep = is_tdc(g, c)
         assert rep.proper == oracles.is_proper_classes(adj, c.classes)
-        assert len(rep.classes) == len(c.classes)
-        covered = set()
-        for rec, cls in zip(rep.classes, c.classes):
-            cn = oracles.common_neighbors(adj, cls)
-            assert rec.vertices == tuple(sorted(cls)) and rec.size == len(cls)
-            assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
-            covered |= cn
+        ref_cn = [oracles.common_neighbors(adj, cls) for cls in c.classes]
+        covered = set().union(*ref_cn)
+        # the verdict comes from the offsets alone, before any record exists
         assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
         assert rep.tdc == oracles.is_tdc_classes(n, adj, c.as_lists())
+        assert "classes" not in vars(rep)
+        assert len(rep.classes) == len(c.classes)
+        for rec, cls, cn in zip(rep.classes, c.classes, ref_cn):
+            assert rec.vertices == tuple(sorted(cls)) and rec.size == len(cls)
+            assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
 
     def test_leaves_masks_unbuilt(self):
         g = standard_circulant(10**5)
-        assert is_tdc(g, construct_tdc(10**5).coloring).tdc
+        report = is_tdc(g, construct_tdc(10**5).coloring)
+        assert report.tdc
         assert "masks" not in vars(g)
+        assert "classes" not in vars(report)
+
+    def test_equality_ignores_built_records(self):
+        g = standard_circulant(20)
+        c = construct_tdc(20).coloring
+        read, unread = is_tdc(g, c), is_tdc(g, c)
+        assert read.cn_size_sum >= 20 and "classes" in vars(read)
+        assert read == unread and hash(read) == hash(unread)
+        assert read.to_dict() == unread.to_dict()
 
 
 class TestCapacityCheck:
