@@ -29,7 +29,6 @@ from .formulas import (
     TABLE_COLUMNS,
     formula_rows,
     formula_tdc,
-    formula_tdc_general,
     independence_number_formula,
     open_packing_number_formula,
     total_domination_number_formula,
@@ -39,6 +38,7 @@ from .graphs import (
     GraphConstructionError,
     build_circulant,
     is_standard_13,
+    reduce_either_order,
     reduce_to_standard,
     standard_circulant,
     verify_isomorphism,
@@ -205,8 +205,8 @@ def _cmd_chidt(args) -> RunReport:
     if pair is None:
         formula_value = formula_tdc(n)
     else:
-        reduction = reduce_to_standard(n, *pair)
-        formula_value = formula_tdc_general(n, *pair)
+        reduction = reduce_either_order(n, *pair)
+        formula_value = formula_tdc(n)
         result["reduction"] = {
             "standard_c": reduction.standard_c,
             "congruence": reduction.congruence,

@@ -30,22 +30,31 @@ class Coloring:
     def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "Coloring":
         """Freeze `classes` into a Coloring, or name the first fault.
 
-        Nonempty classes whose sizes sum to n and whose union has n members,
-        all in 1..n, are exactly the partitions of {1..n}, and that test
-        runs in C.  Only input that fails it walks the classes in order, so
-        the first fault found (empty class, label out of range, repeat,
-        uncovered vertex) is the one reported.
+        Nonempty classes whose sizes sum to n and whose union has n integer
+        members, all in 1..n, are exactly the partitions of {1..n}, and that
+        test runs in C: one float label, even 2.0, makes the union's sum a
+        float.  Only input that fails it walks the classes in order, so the
+        first fault found (empty class, non-integer label, label out of
+        range, repeat, uncovered vertex) is the one reported.
         """
         sets = tuple(frozenset(c) for c in classes)
         if all(sets) and sum(map(len, sets)) == n:
             union = frozenset().union(*sets)
-            if union and len(union) == n and min(union) >= 1 and max(union) <= n:
+            if (
+                union
+                and len(union) == n
+                and min(union) >= 1
+                and max(union) <= n
+                and type(sum(union)) is int
+            ):
                 return Coloring(n=n, classes=sets)
         seen: set[int] = set()
         for idx, cls in enumerate(sets):
             if not cls:
                 raise ColoringError(f"class {idx + 1} is empty")
             for v in cls:
+                if not isinstance(v, int):
+                    raise ColoringError(f"label {v!r} is not an integer")
                 if not (1 <= v <= n):
                     raise ColoringError(f"vertex {v} is outside 1..{n}")
                 if v in seen:

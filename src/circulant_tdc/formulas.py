@@ -10,7 +10,7 @@ All arithmetic is exact integer arithmetic; ceil(n/8) is (n + 7) // 8.
 
 from __future__ import annotations
 
-from .graphs import reduce_to_standard
+from .graphs import reduce_either_order
 
 
 class FormulaConsistencyError(ValueError):
@@ -36,18 +36,13 @@ def formula_tdc(n: int) -> int:
 def formula_tdc_general(n: int, a: int, b: int) -> int:
     """Closed form for C_n(a,b) when it reduces to the standard graph.
 
-    Requires gcd(a, n) = 1 and a^{-1} b = +-3 (mod n); both residues give the
-    same graph and both are accepted.  Delegates to formula_tdc via the
-    standard-form reduction.
+    Requires gcd(a, n) = 1 and a^{-1} b = +-3 (mod n), or the same with a and
+    b swapped (reduce_either_order); both residues give the same graph and
+    both are accepted.  Delegates to formula_tdc.
     """
     if n < 6:
         raise ValueError(f"closed form needs n >= 6, got {n}")
-    reduction = reduce_to_standard(n, a, b)
-    if reduction.standard_c != 3:
-        raise ValueError(
-            f"hypothesis a^-1 b = +-3 (mod n) fails: "
-            f"a^-1 b = {reduction.raw_c} (mod {n}), distance {reduction.standard_c}"
-        )
+    reduce_either_order(n, a, b)
     return formula_tdc(n)
 
 

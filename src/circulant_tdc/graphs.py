@@ -25,12 +25,6 @@ def circular_distance(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def normalize_generator(g: int, n: int) -> int:
-    """Reduce a generator to a circular distance in 0..n//2 (0 means degenerate)."""
-    r = g % n
-    return min(r, n - r)
-
-
 class GraphConstructionError(ValueError):
     """Raised for invalid circulant parameters (bad n, zero or duplicate generators)."""
 
@@ -112,7 +106,7 @@ def build_circulant(n: int, generators: Sequence[int]) -> CirculantGraph:
         raise GraphConstructionError("need at least one generator")
     distances = []
     for g in generators:
-        d = normalize_generator(g, n)
+        d = circular_distance(g, 0, n)
         if d == 0:
             raise GraphConstructionError(f"generator {g} is 0 mod {n} (self-loop)")
         if d in distances:
@@ -133,7 +127,7 @@ def standard_connection_set(n: int) -> tuple[int, ...]:
     if n < 3:
         raise GraphConstructionError(f"need n >= 3, got n={n}")
     distances = {1}
-    d = normalize_generator(3, n)
+    d = circular_distance(3, 0, n)
     if d:
         distances.add(d)
     return tuple(sorted(distances))
@@ -187,7 +181,7 @@ def reduce_to_standard(n: int, a: int, b: int) -> ReductionResult:
         )
     a_inv = pow(a, -1, n)
     raw_c = (a_inv * b) % n
-    standard_c = min(raw_c, n - raw_c)
+    standard_c = circular_distance(raw_c, 0, n)
     congruence = "direct" if raw_c <= n // 2 else "mirrored"
     vertex_map = {x: (a_inv * x) % n or n for x in range(1, n + 1)}
     return ReductionResult(
@@ -199,6 +193,36 @@ def reduce_to_standard(n: int, a: int, b: int) -> ReductionResult:
         standard_c=standard_c,
         congruence=congruence,
         vertex_map=vertex_map,
+    )
+
+
+def reduce_either_order(n: int, a: int, b: int) -> ReductionResult:
+    """The reduction of C_n(a,b) onto C_n(1,3): of (a, b), or else of (b, a).
+
+    C_n(a,b) and C_n(b,a) are one graph, but reduce_to_standard maps its
+    first generator to 1, so only one order may reduce: C_11(3,1) does as
+    (1, 3), and C_14(9,3) as (3, 9).  The distance 3 is read mod n, as in
+    standard_connection_set.  Raises GraphConstructionError as
+    reduce_to_standard does for n < 3 or a zero generator, and naming both
+    orders when neither reduces.
+    """
+    failures = []
+    for x, y in ((a, b), (b, a)):
+        try:
+            reduction = reduce_to_standard(n, x, y)
+        except GraphConstructionError as exc:
+            if n < 3 or x % n == 0 or y % n == 0:
+                raise  # the same fault in either order
+            failures.append(f"(a, b) = ({x}, {y}): {exc}.")
+            continue
+        if reduction.standard_c == circular_distance(3, 0, n):
+            return reduction
+        failures.append(
+            f"(a, b) = ({x}, {y}): a^-1 b = {reduction.raw_c} (mod {n}), "
+            f"distance {reduction.standard_c}."
+        )
+    raise GraphConstructionError(
+        "hypothesis a^-1 b = +-3 (mod n) fails in both generator orders. " + " ".join(failures)
     )
 
 

@@ -28,9 +28,9 @@ vertices.
 
 Neither check assumes anything beyond the graph being regular of known
 degree, so verdicts are search-exact.  tdc_number_exact scans class counts
-upward from max(chromatic number, total domination number); minimality never
-relies on monotonicity of feasibility because every smaller count is
-exhausted first.
+upward from max(chromatic number, total domination number) to a proven
+upper bound; minimality never relies on monotonicity of feasibility because
+every smaller count is exhausted first.
 """
 
 from __future__ import annotations
@@ -267,11 +267,14 @@ def tdc_number_exact(
 ) -> SearchOutcome:
     """Exact total dominator chromatic number of g.
 
-    Brackets the value between max(chromatic, total domination) and, for the
-    standard distance-{1,3} graph, the size of the explicit construction
-    (otherwise their sum), then tests each class count in increasing order.
-    Raises BudgetExceededError with the bracket found so far if any level
-    exhausts its budget, and OracleLimitError above the vertex limit.
+    Tests each class count upward from max(chromatic, total domination) to
+    an upper bound: the explicit construction on the standard distance-{1,3}
+    graph, which needs no search at its level, and gamma_t + chi otherwise
+    (Kazemi, Trans. Comb. 2015): a minimum total dominating set as singleton
+    classes plus a proper coloring of the rest is a TDC, since every vertex
+    dominates the singleton of a neighbour in the set.  Raises
+    BudgetExceededError with the bracket found so far if any level exhausts
+    its budget, and OracleLimitError above the vertex limit.
     """
     _check_limit(g.n, limit)
     if not g.degree:
@@ -299,38 +302,39 @@ def tdc_number_exact(
 
     nodes_total = 0
     levels: list[tuple[int, str]] = []
-    for k in range(lower, g.n + 1):
-        if construction_witness is not None and k == upper:
+    for k in range(lower, upper + 1):
+        if k == upper and construction_witness is not None:
             # every smaller class count was exhausted; the verified
             # construction is the witness, no search needed at this level
             witness = construction_witness
             levels.append((k, FEASIBLE))
-        else:
-            outcome = tdc_feasible(g, k, budget)
-            nodes_total += outcome.nodes_explored
-            levels.append((k, outcome.status))
-            if outcome.status == BUDGET_EXCEEDED:
-                raise BudgetExceededError(
-                    lower=k,
-                    upper=max(upper, k),
-                    nodes_explored=nodes_total,
-                    elapsed_seconds=time.monotonic() - started,
-                )
-            if outcome.status != FEASIBLE:
-                continue
+            break
+        outcome = tdc_feasible(g, k, budget)
+        nodes_total += outcome.nodes_explored
+        levels.append((k, outcome.status))
+        if outcome.status == BUDGET_EXCEEDED:
+            raise BudgetExceededError(
+                lower=k,
+                upper=upper,
+                nodes_explored=nodes_total,
+                elapsed_seconds=time.monotonic() - started,
+            )
+        if outcome.status == FEASIBLE:
             assert outcome.coloring is not None
             witness = outcome.coloring
             report = is_tdc(g, witness)
             assert report.tdc, "search returned a non-TDC witness"
-        return SearchOutcome(
-            chi_dt=k,
-            witness=witness,
-            lower_bound_used=lower,
-            lower_bound_source=lower_source,
-            upper_bound_used=max(upper, k),
-            upper_bound_source=upper_source,
-            nodes_explored=nodes_total,
-            elapsed_seconds=time.monotonic() - started,
-            levels=tuple(levels),
-        )
-    raise AssertionError("unreachable: the all-singletons coloring is always a TDC")
+            break
+    else:
+        raise AssertionError(f"no coloring within the proven upper bound {upper} ({upper_source})")
+    return SearchOutcome(
+        chi_dt=k,
+        witness=witness,
+        lower_bound_used=lower,
+        lower_bound_source=lower_source,
+        upper_bound_used=upper,
+        upper_bound_source=upper_source,
+        nodes_explored=nodes_total,
+        elapsed_seconds=time.monotonic() - started,
+        levels=tuple(levels),
+    )

@@ -37,6 +37,31 @@ class TestChidt:
         assert built["tdc"] is True
         assert is_tdc(build_circulant(n, [a, b]), coloring).tdc
 
+    def test_either_generator_order(self):
+        outputs = [run_cli("chidt", "11", *pair, "--json") for pair in (("3", "1"), ("1", "3"))]
+        assert [code for code, _ in outputs] == [0, 0]
+        claims = [json.loads(out)["results"][0]["claims"] for _, out in outputs]
+        assert claims[0] == claims[1]
+
+    def test_swapped_construction_verifies(self, tmp_path):
+        # C_14(9,3) reduces as (3, 9): x -> 3^-1 x = 5x mod 14
+        code, out = run_cli("chidt", "14", "9", "3", "--construct", "--json")
+        assert code == 0
+        claims = json.loads(out)["results"][0]["claims"]
+        (built,) = [c for c in claims if c["source"] == "construction"]
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(built["classes"]))
+        code, out = run_cli("verify-coloring", "14", "9", "3", str(f), "--json")
+        assert code == 0
+        assert json.loads(out)["results"][0]["report"]["tdc"] is True
+
+    def test_outside_the_family_names_both_orders(self, capsys):
+        code, out = run_cli("chidt", "11", "1", "2")
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert "both generator orders" in err
+        assert "(a, b) = (1, 2)" in err and "(a, b) = (2, 1)" in err
+
     def test_json_envelope(self):
         code, out = run_cli("chidt", "12", "--exact", "--json")
         assert code == 0
@@ -315,6 +340,7 @@ class TestContract:
         [
             ["chidt", "7", "2"],
             ["chidt", "8", "2", "6"],
+            ["chidt", "0", "1", "3"],
             ["sweep", "10", "6"],
             ["reduce", "9", "3", "1"],
             ["construct", "5"],

@@ -63,6 +63,11 @@ class TestColoringValidation:
             message = self._message(8, [[1, 2, label], [3, 4, 5, 6, 7, 8]])
             assert message == f"vertex {label} is outside 1..8"
 
+    # a float label equal to an integer, like 2.0, hashes as that integer
+    @pytest.mark.parametrize("label", [1.5, 2.0])
+    def test_rejects_non_integer_label(self, label):
+        assert self._message(6, [[1, 3, 5], [label, 4, 6]]) == f"label {label} is not an integer"
+
     @pytest.mark.parametrize(
         "classes, message",
         [

@@ -52,13 +52,20 @@ class TestFormulaTdcGeneral:
         # b = n - 3 gives a^-1 b = -3, the same graph after normalization
         assert formula_tdc_general(14, 1, 11) == formula_tdc(14)
 
+    # C_9(3,1) is C_9(1,3) and C_11(1,4) is C_11(4,1): either order reduces
+    @pytest.mark.parametrize("n,a,b", [(9, 3, 1), (11, 1, 4), (14, 9, 3)])
+    def test_either_generator_order(self, n, a, b):
+        assert formula_tdc_general(n, a, b) == formula_tdc_general(n, b, a) == formula_tdc(n)
+
     def test_identifies_gcd_failure(self):
+        # 3 and 6 are both non-units mod 9, so neither order reduces
         with pytest.raises(GraphConstructionError, match="gcd"):
-            formula_tdc_general(9, 3, 1)
+            formula_tdc_general(9, 3, 6)
 
     def test_identifies_congruence_failure(self):
+        # 1^-1 * 2 = 2 and 2^-1 * 1 = 6 = -5 (mod 11)
         with pytest.raises(ValueError, match="hypothesis a\\^-1 b"):
-            formula_tdc_general(11, 1, 4)
+            formula_tdc_general(11, 1, 2)
 
 
 class TestOffset:

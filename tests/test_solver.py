@@ -14,6 +14,9 @@ from circulant_tdc import (
     tdc_feasible,
     tdc_number_exact,
 )
+from circulant_tdc.graphs import is_standard_13
+from circulant_tdc.invariants import total_domination_number_oracle
+from circulant_tdc.solver import chromatic_number_oracle
 
 
 # every connection set of 1-3 distances on up to 9 vertices, and C_n(1,3) up
@@ -220,3 +223,26 @@ class TestExactValue:
         statuses = dict(out.levels)
         assert statuses[4] == "infeasible" and statuses[5] == "infeasible"
         assert statuses[6] == "feasible"
+
+
+class TestBracket:
+    """Off the standard graph the scan runs from the lower bound to gamma_t + chi."""
+
+    # every circulant with 1-3 distances on n vertices except C_n(1,3)
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_levels_climb_to_the_first_feasible_one(self, n):
+        graphs = [
+            build_circulant(n, dists)
+            for r in (1, 2, 3)
+            for dists in combinations(range(1, n // 2 + 1), r)
+        ]
+        for g in graphs:
+            if is_standard_13(g):
+                continue
+            out = tdc_number_exact(g)
+            gamma_t = total_domination_number_oracle(g).oracle
+            assert out.upper_bound_used == gamma_t + chromatic_number_oracle(g).oracle
+            ks = [k for k, _ in out.levels]
+            assert ks == list(range(out.lower_bound_used, out.lower_bound_used + len(ks)))
+            assert out.levels[-1] == (out.chi_dt, "feasible")
+            assert all(status == "infeasible" for _, status in out.levels[:-1])
