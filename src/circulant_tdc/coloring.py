@@ -1,75 +1,141 @@
-"""Colorings, properness, common neighborhoods and the total dominator test."""
+"""Colorings, properness, common neighborhoods and the total dominator test.
+
+A Coloring is its color array: color[v-1] is the 0-based index of the class
+of vertex v.  The class frozensets are derived from the array only when a
+caller reads `classes`.  is_proper compares the array with its rotations,
+and is_tdc reads coverage from the class sizes and the graph's offsets, so
+certifying a coloring builds no per-class set.
+"""
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from typing import Collection, Iterable
+from itertools import chain, compress, islice, repeat
+from typing import Collection, Iterable, Sequence
 
 from .graphs import CirculantGraph
 
 
 class ColoringError(ValueError):
-    """Raised when class sets do not form a partition of {1..n}."""
+    """Raised when class sets or a color array do not form a partition of {1..n}."""
 
 
 @dataclass(frozen=True)
 class Coloring:
     """A partition of {1..n} into nonempty color classes, in a fixed order.
 
-    The class order is preserved as given (constructions rely on it for
-    readable output).
+    The color array is the one stored form: `color[v-1]` is the 0-based
+    index of the class holding vertex v, and every index in 0..k-1 is
+    used, so the array is a partition by construction.  Equality and
+    hashing compare the arrays.  `classes`, the frozensets in index order,
+    are built from the array on first read and then kept.  The constructor
+    trusts its array; `from_classes` and `from_colors` check their input.
     """
 
     n: int
-    classes: tuple[frozenset[int], ...]
+    color: tuple[int, ...]
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "Coloring":
         """Freeze `classes` into a Coloring, or name the first fault.
 
-        Nonempty classes whose sizes sum to n and whose union has n integer
-        members, all in 1..n, are exactly the partitions of {1..n}, and that
-        test runs in C: one float label, even 2.0, makes the union's sum a
-        float.  Only input that fails it walks the classes in order, so the
-        first fault found (empty class, non-integer label, label out of
-        range, repeat, uncovered vertex) is the one reported.
+        Nonempty classes whose sizes sum to n and whose union has n members,
+        all of type int and in 1..n, are exactly the partitions of {1..n},
+        and that test runs in C: one label of another type, even 2.0 or a
+        string, fails it.  Only input that fails it walks the classes in
+        order, so the first fault found (empty class, non-integer label,
+        label out of range, repeat, uncovered vertex) is the one reported.
+        The frozensets are kept as the cached `classes`.
         """
         sets = tuple(frozenset(c) for c in classes)
-        if all(sets) and sum(map(len, sets)) == n:
-            union = frozenset().union(*sets)
-            if (
-                union
-                and len(union) == n
-                and min(union) >= 1
-                and max(union) <= n
-                and type(sum(union)) is int
-            ):
-                return Coloring(n=n, classes=sets)
-        seen: set[int] = set()
+        union = frozenset().union(*sets)
+        if not (
+            all(sets)
+            and sum(map(len, sets)) == n == len(union)
+            and set(map(type, union)) == {int}
+            and min(union) >= 1
+            and max(union) <= n
+        ):
+            _walk_classes(n, sets)
+        color = [0] * n
         for idx, cls in enumerate(sets):
-            if not cls:
-                raise ColoringError(f"class {idx + 1} is empty")
             for v in cls:
-                if not isinstance(v, int):
-                    raise ColoringError(f"label {v!r} is not an integer")
-                if not (1 <= v <= n):
-                    raise ColoringError(f"vertex {v} is outside 1..{n}")
-                if v in seen:
-                    raise ColoringError(f"vertex {v} appears in more than one class")
-                seen.add(v)
-        if len(seen) != n:
-            missing = min(set(range(1, n + 1)) - seen)
-            raise ColoringError(f"vertex {missing} is not covered by any class")
-        return Coloring(n=n, classes=sets)
+                color[v - 1] = idx
+        coloring = Coloring(n, tuple(color))
+        vars(coloring).update(classes=sets, _k=len(sets))
+        return coloring
+
+    @staticmethod
+    def from_colors(n: int, color: Sequence[int]) -> "Coloring":
+        """Wrap the color array `color` into a Coloring, or name the first fault.
+
+        `color[v-1]` is the 0-based class index of vertex v.  The array must
+        have n entries, each an int, whose set is exactly 0..k-1 for some k;
+        each test is one pass of a builtin.  Only an array that fails them
+        is walked, to name the first vertex at fault or the first unused
+        index.
+        """
+        k = _count_classes(n, color)
+        coloring = Coloring(n, tuple(color))
+        vars(coloring)["_k"] = k
+        return coloring
+
+    @cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        members: list[list[int]] = [[] for _ in range(len(self))]
+        for v, c in enumerate(self.color, start=1):
+            members[c].append(v)
+        return tuple(map(frozenset, members))
+
+    @cached_property
+    def _k(self) -> int:
+        return max(self.color, default=-1) + 1
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return self._k
 
     def as_lists(self) -> list[list[int]]:
         return [sorted(c) for c in self.classes]
+
+
+def _count_classes(n: int, color: Sequence[int]) -> int:
+    """The number k of classes of the color array `color`, or its first fault."""
+    if len(color) != n:
+        raise ColoringError(f"{len(color)} colors given for {n} vertices")
+    if not set(map(type, color)) <= {int}:
+        v, c = next((v, c) for v, c in enumerate(color, 1) if type(c) is not int)
+        raise ColoringError(f"color {c!r} of vertex {v} is not an integer")
+    used = set(color)
+    top = max(used, default=-1)
+    if used and (min(used) < 0 or top >= n):
+        v, c = next((v, c) for v, c in enumerate(color, 1) if not 0 <= c < n)
+        raise ColoringError(f"color {c} of vertex {v} is outside 0..{n - 1}")
+    if top != len(used) - 1:
+        missing = min(set(range(top)) - used)
+        raise ColoringError(f"class {missing + 1} is empty: no vertex has color {missing}")
+    return len(used)
+
+
+def _walk_classes(n: int, sets: tuple[frozenset, ...]) -> None:
+    """Raise ColoringError for the first fault in `sets`, in class order."""
+    seen: set[int] = set()
+    for idx, cls in enumerate(sets):
+        if not cls:
+            raise ColoringError(f"class {idx + 1} is empty")
+        for v in cls:
+            if not isinstance(v, int):
+                raise ColoringError(f"label {v!r} is not an integer")
+            if not (1 <= v <= n):
+                raise ColoringError(f"vertex {v} is outside 1..{n}")
+            if v in seen:
+                raise ColoringError(f"vertex {v} appears in more than one class")
+            seen.add(v)
+    if len(seen) != n:
+        missing = min(set(range(1, n + 1)) - seen)
+        raise ColoringError(f"vertex {missing} is not covered by any class")
 
 
 @dataclass(frozen=True)
@@ -146,26 +212,19 @@ def _require_same_order(g: CirculantGraph, coloring: Coloring) -> None:
         raise ColoringError(f"coloring is on {coloring.n} vertices, graph on {g.n}")
 
 
-def _color_array(coloring: Coloring) -> list[int]:
-    """color[v-1] = 0-based index of the class holding vertex v."""
-    color = [0] * coloring.n
-    for idx, cls in enumerate(coloring.classes):
-        for v in cls:
-            color[v - 1] = idx
-    return color
-
-
 def is_proper(g: CirculantGraph, coloring: Coloring) -> bool:
     """True iff no edge of g joins two vertices of the same class.
 
     The edges of distance d join each vertex to the one d steps on, so the
-    coloring is proper iff the color list differs everywhere from its
-    rotation by d, for every d in the connection set.
+    coloring is proper iff the color array differs everywhere from its
+    rotation by d, for every d in the connection set.  The rotation is read
+    in place, so no rotated copy of the array is made.
     """
     _require_same_order(g, coloring)
-    color = _color_array(coloring)
+    color = coloring.color
     return not any(
-        any(map(operator.eq, color, color[d:] + color[:d])) for d in g.connection_set
+        any(map(operator.eq, color, chain(islice(color, d, None), color[:d])))
+        for d in g.connection_set
     )
 
 
@@ -209,24 +268,32 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
 
     A proper coloring is a TDC iff the common neighborhoods of its classes
     cover the whole vertex set, so `uncovered` is computed as the complement
-    of that union.  One pass over the classes clears each common neighbor
-    straight from the offsets: a singleton {v} clears v + o for every offset
-    o, and no class is sorted or recorded.  Reads only the graph's offsets:
-    O(n * degree) time and O(n) memory.  The report's per-class records are
-    built only when first read.
+    of that union, from the color array and the offsets alone.  A singleton
+    {v} covers v + o for every offset o, so u is covered by a singleton
+    exactly when the singleton flags, rotated by some offset, have a 1 at u:
+    the flags are OR-ed over the offsets as integers.  A class larger than
+    the degree covers nothing, so only classes of size 2..degree have their
+    members collected and their common neighbors cleared.  No class set is
+    built and none is recorded: O(n * degree) time and O(n) memory.  The
+    report's per-class records are built only when first read.
     """
     _require_same_order(g, coloring)
     proper = is_proper(g, coloring)
-    n, offsets = g.n, g.offsets
-    offset_set = frozenset(offsets)
+    n, offsets, color = g.n, g.offsets, coloring.color
+    sizes = Counter(color)
+    flags = bytes(map(operator.eq, map(sizes.__getitem__, color), repeat(1)))
+    covered = 0
+    for o in offsets:
+        covered |= int.from_bytes(flags[n - o :] + flags[: n - o], "little")
     # missing[v-1] stays 1 until some class's common neighborhood holds v
-    missing = bytearray(b"\x01") * n
-    for cls in coloring.classes:
-        if len(cls) == 1:
-            (v,) = cls
-            for o in offsets:
-                missing[(v - 1 + o) % n] = 0
-        else:
+    missing = bytearray((int.from_bytes(b"\x01" * n, "little") ^ covered).to_bytes(n, "little"))
+    small = {c for c, size in sizes.items() if 1 < size <= len(offsets)}
+    if small:
+        members: dict[int, list[int]] = {}
+        for v in compress(range(1, n + 1), map(small.__contains__, color)):
+            members.setdefault(color[v - 1], []).append(v)
+        offset_set = frozenset(offsets)
+        for cls in members.values():
             for u in _common_neighbors(n, offsets, offset_set, cls):
                 missing[u - 1] = 0
     uncovered = tuple(compress(range(1, n + 1), missing))

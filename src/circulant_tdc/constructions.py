@@ -3,14 +3,18 @@ one per n >= 6, with exactly formula_tdc(n) classes.
 
 For n = 6 the coloring is the odd/even bipartition (the graph is K_{3,3});
 for 7 <= n <= 11 the classes are a fixed table; for n >= 12 a residue-class
-scheme of period 8 applies.  The vertices of the open packing
-L = {8i+1, 8i+2 : 0 <= i < k}, k = n // 8, become singleton classes.  Then
-_RESIDUE_TABLE gives, for r = n % 8, the tail classes near the wrap boundary
-{n-7 .. n} as offsets below n, and the offsets of the vertices M that change
+scheme of period 8 is written straight into the color array.  Every vertex
+starts in the leftover class of its parity, odd or even, the last two
+classes.  The vertices of the open packing L = {8i+1, 8i+2 : 0 <= i < k},
+k = n // 8, become the singleton classes 0..2k-1 in increasing order: two
+slice assignments of step 8.  Then _RESIDUE_TABLE gives, for r = n % 8, the
+tail classes near the wrap boundary {n-7 .. n} as offsets below n, which
+take the indices between, and the offsets of the vertices M that change
 parity class (M is empty except for r = 3, 5, 7, where it dodges the
-wraparound edges).  With T the packing plus the tails, the last two classes
-are (odd - T - M) | (even & M) and (even - T - M) | (odd & M), so the classes
-stay disjoint; Coloring.from_classes rejects any class that comes out empty.
+wraparound edges); together they set at most 8 entries.  With T the packing
+plus the tails, the leftovers are (odd - T - M) | (even & M) and
+(even - T - M) | (odd & M); Coloring.from_colors rejects an array that
+leaves a class empty.
 
 verify_construction is the one place that builds a construction and tests
 it, on C_n(1,3) or, through a reduction, on C_n(a,b).
@@ -19,6 +23,8 @@ it, on C_n(1,3) or, through a reduction, on C_n(a,b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .coloring import Coloring, ColoringReport, is_tdc
 from .formulas import formula_tdc
@@ -40,14 +46,20 @@ class ConstructionPlan:
     """A constructed coloring together with the pieces it was assembled from.
 
     packing is the open packing whose members become singleton classes
-    (empty for n <= 11, where the table is used verbatim).
+    (empty for n <= 11, where the table is used verbatim).  It is built on
+    first read, so certifying the coloring never pays for it.
     """
 
     n: int
     k: int
     residue: int
-    packing: frozenset[int]
     coloring: Coloring
+
+    @cached_property
+    def packing(self) -> frozenset[int]:
+        if self.n <= 11:
+            return frozenset()
+        return frozenset(chain(range(1, 8 * self.k, 8), range(2, 8 * self.k, 8)))
 
     @property
     def classes(self) -> tuple[frozenset[int], ...]:
@@ -80,47 +92,36 @@ _RESIDUE_TABLE: tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...] 
 )
 
 
-def _tail(n: int, offsets: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(n - o for o in offsets)
-
-
-def _residue_classes(n: int) -> tuple[frozenset[int], list[frozenset[int]]]:
-    """Open packing plus ordered class list for n >= 12, read off _RESIDUE_TABLE."""
+def _residue_colors(n: int) -> list[int]:
+    """The color array for n >= 12, read off _RESIDUE_TABLE."""
     k, r = divmod(n, 8)
     tail_offsets, move_offsets = _RESIDUE_TABLE[r]
-    packing = frozenset(v for i in range(k) for v in (8 * i + 1, 8 * i + 2))
-    tail = [_tail(n, offsets) for offsets in tail_offsets]
-    taken = packing.union(*tail)
-    moved = _tail(n, move_offsets)
-    odd = frozenset(range(1, n + 1, 2))
-    even = frozenset(range(2, n + 1, 2))
-    leftovers = [(odd - taken - moved) | (even & moved), (even - taken - moved) | (odd & moved)]
-    classes = [frozenset({v}) for v in sorted(packing)] + tail + leftovers
-    return packing, classes
+    odd = 2 * k + len(tail_offsets)  # the odd leftover class; the even one is odd + 1
+    color = [odd, odd + 1] * (n // 2) + [odd] * (n % 2)
+    color[0 : 8 * k : 8] = range(0, 2 * k, 2)
+    color[1 : 8 * k : 8] = range(1, 2 * k, 2)
+    for idx, offsets in enumerate(tail_offsets, start=2 * k):
+        for o in offsets:
+            color[n - o - 1] = idx
+    for o in move_offsets:
+        color[n - o - 1] = odd + (n - o) % 2
+    return color
 
 
 def construct_tdc(n: int) -> ConstructionPlan:
     """Emit the explicit total dominator coloring for the standard graph on n vertices.
 
     Deterministic; class order follows the listing order (packing singletons,
-    then boundary sets, then parity leftovers).  Coloring.from_classes raises
-    ColoringError if the set algebra ever produces an empty class.
+    then boundary sets, then parity leftovers).  Coloring.from_colors raises
+    ColoringError if the array ever leaves a class index unused.
     """
     if n < 6:
         raise ValueError(f"constructions start at n = 6, got {n}")
     if n <= 11:
-        packing: frozenset[int] = frozenset()
-        classes = [frozenset(c) for c in _SMALL_TABLE[n]]
+        coloring = Coloring.from_classes(n, _SMALL_TABLE[n])
     else:
-        packing, classes = _residue_classes(n)
-    coloring = Coloring.from_classes(n, classes)
-    return ConstructionPlan(
-        n=n,
-        k=n // 8,
-        residue=n % 8,
-        packing=packing,
-        coloring=coloring,
-    )
+        coloring = Coloring.from_colors(n, _residue_colors(n))
+    return ConstructionPlan(n=n, k=n // 8, residue=n % 8, coloring=coloring)
 
 
 @dataclass(frozen=True)
@@ -150,16 +151,18 @@ def verify_construction(n: int, reduction: ReductionResult | None = None) -> Con
     """Build the construction for n once and run the total dominator test on it.
 
     Without a reduction the test runs on C_n(1,3).  With the reduction of
-    C_n(a,b) to C_n(1,3), each class S is pulled back to {x : a^{-1}x in S},
-    a coloring of C_n(a,b), and the test runs there.  A failure (not a TDC,
-    or wrong class count) is reported in the verdict, never silently dropped.
+    C_n(a,b) to C_n(1,3), the color array is pulled back along the vertex
+    map, color'(x) = color(a^{-1}x), so each class S becomes
+    {x : a^{-1}x in S}, a coloring of C_n(a,b), and the test runs there.
+    A failure (not a TDC, or wrong class count) is reported in the verdict,
+    never silently dropped.
     """
     plan = construct_tdc(n)
     if reduction is None:
         coloring, graph = plan.coloring, standard_circulant(n)
     else:
-        preimage = {y: x for x, y in reduction.vertex_map.items()}
-        coloring = Coloring.from_classes(n, [{preimage[y] for y in cls} for cls in plan.classes])
+        color, vertex_map = plan.coloring.color, reduction.vertex_map
+        coloring = Coloring.from_colors(n, [color[vertex_map[x] - 1] for x in range(1, n + 1)])
         graph = build_circulant(n, [reduction.a, reduction.b])
     return ConstructionVerdict(
         expected_classes=formula_tdc(n),

@@ -7,7 +7,9 @@ The chromatic number reference runs on bitmasks, but builds them from the
 dict adjacency itself.  The census of maximum open packings, which tests the
 paper's packing-shape claim, and the coloring helpers at the end take the
 package's graph, but read only its vertex count and connection set; the
-coloring helpers return its Coloring.
+coloring helpers return its Coloring.  The construction reference restates
+the residue scheme as the set algebra it is defined by, where the package
+writes a color array.
 """
 
 import random
@@ -309,3 +311,38 @@ def class_size_capacity_check(g, coloring):
         if (size <= 4 and size + cn_size > 5) or (size >= 5 and cn_size):
             return False
     return True
+
+
+# Row r = n % 8 of the residue scheme: (tail classes as offsets below n,
+# offsets of the vertices that change parity class).  Restated here, so the
+# reference does not read the package's own table.
+_RESIDUE_ROWS = (
+    ((), ()),
+    (((6, 4, 2, 0),), ()),
+    (((6, 4, 2, 0), (7, 5, 3, 1)), ()),
+    (((7, 5, 3, 1), (6, 4, 2)), (0,)),
+    (((6, 4, 2), (7, 5, 3)), ()),
+    (((7, 5, 3), (6, 4)), (2, 1, 0)),
+    (((6, 4), (7, 5)), ()),
+    (((6,), (7, 5)), (4, 3, 2, 1, 0)),
+)
+
+
+def residue_classes_reference(n):
+    """(packing, ordered classes) of the construction for n >= 12, by set algebra.
+
+    The packing L = {8i+1, 8i+2 : i < n // 8} gives singleton classes in
+    increasing order, then come the tail classes, then the two parity
+    leftovers (odd - T - M) | (even & M) and (even - T - M) | (odd & M),
+    with T the packing plus the tails and M the moved vertices.
+    """
+    k, r = divmod(n, 8)
+    tail_offsets, move_offsets = _RESIDUE_ROWS[r]
+    packing = frozenset(v for i in range(k) for v in (8 * i + 1, 8 * i + 2))
+    tails = [frozenset(n - o for o in offsets) for offsets in tail_offsets]
+    taken = packing.union(*tails)
+    moved = frozenset(n - o for o in move_offsets)
+    odd = frozenset(range(1, n + 1, 2))
+    even = frozenset(range(2, n + 1, 2))
+    leftovers = [(odd - taken - moved) | (even & moved), (even - taken - moved) | (odd & moved)]
+    return packing, [frozenset({v}) for v in sorted(packing)] + tails + leftovers

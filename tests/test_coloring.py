@@ -38,6 +38,34 @@ def circulant_colorings(draw, max_n=40):
     return g, distances, coloring
 
 
+@st.composite
+def mixed_size_colorings(draw, max_n=24):
+    """A circulant C_n(S) with 1-3 distances, S, and classes of mixed sizes.
+
+    The classes cut a random vertex order into runs whose sizes are drawn
+    from 1, 2..degree and degree+1 upwards, so singletons, classes that can
+    cover and classes too large to cover all occur; most are improper.
+    Half the time the classes are a greedy proper coloring instead.
+    """
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    distances = draw(st.sets(st.integers(min_value=1, max_value=n // 2), min_size=1, max_size=3))
+    g = build_circulant(n, sorted(distances))
+    if draw(st.booleans()):
+        greedy = random_greedy_coloring(g, draw(st.integers(0, 10**6)))
+        return g, distances, [sorted(c) for c in greedy.classes]
+    degree = g.degree
+    order = draw(st.permutations(range(1, n + 1)))
+    sizes = st.one_of(
+        st.just(1), st.integers(2, max(2, degree)), st.integers(degree + 1, degree + 4)
+    )
+    classes, start = [], 0
+    while start < n:
+        size = draw(sizes)
+        classes.append(order[start : start + size])
+        start += size
+    return g, distances, classes
+
+
 class TestColoringValidation:
     def test_round_trip(self):
         c = Coloring.from_classes(8, [[1, 3, 5, 7], [2, 4, 6, 8]])
@@ -63,10 +91,11 @@ class TestColoringValidation:
             message = self._message(8, [[1, 2, label], [3, 4, 5, 6, 7, 8]])
             assert message == f"vertex {label} is outside 1..8"
 
-    # a float label equal to an integer, like 2.0, hashes as that integer
-    @pytest.mark.parametrize("label", [1.5, 2.0])
+    # a float label equal to an integer, like 2.0, hashes as that integer;
+    # a string or None does not even compare with the integer labels
+    @pytest.mark.parametrize("label", [1.5, 2.0, "a", None])
     def test_rejects_non_integer_label(self, label):
-        assert self._message(6, [[1, 3, 5], [label, 4, 6]]) == f"label {label} is not an integer"
+        assert self._message(6, [[1, 3, 5], [label, 4, 6]]) == f"label {label!r} is not an integer"
 
     @pytest.mark.parametrize(
         "classes, message",
@@ -111,6 +140,45 @@ class TestColoringValidation:
         else:
             assert expected
             assert c.classes == tuple(frozenset(cls) for cls in classes)
+
+
+class TestFromColors:
+    @staticmethod
+    def _message(n, color):
+        with pytest.raises(ColoringError) as exc:
+            Coloring.from_colors(n, color)
+        return str(exc.value)
+
+    def test_round_trip(self):
+        c = Coloring.from_colors(6, [1, 0, 1, 0, 2, 0])
+        assert len(c) == 3 and c.color == (1, 0, 1, 0, 2, 0)
+        assert c.classes == (frozenset({2, 4, 6}), frozenset({1, 3}), frozenset({5}))
+        assert c == Coloring.from_classes(6, [[2, 4, 6], [1, 3], [5]])
+
+    @pytest.mark.parametrize("color", [[0, 1, 0], [0, 1, 0, 1, 0]])
+    def test_rejects_wrong_length(self, color):
+        assert self._message(4, color) == f"{len(color)} colors given for 4 vertices"
+
+    def test_rejects_unused_index(self):
+        assert self._message(5, [0, 2, 0, 3, 3]) == "class 2 is empty: no vertex has color 1"
+
+    @pytest.mark.parametrize("color", [-1, 4])
+    def test_rejects_out_of_range_index(self, color):
+        message = self._message(4, [0, 1, color, 1])
+        assert message == f"color {color} of vertex 3 is outside 0..3"
+
+    @pytest.mark.parametrize("color", [1.0, "1", None, True])
+    def test_rejects_non_int_entry(self, color):
+        message = self._message(4, [0, 1, 0, color])
+        assert message == f"color {color!r} of vertex 4 is not an integer"
+
+    @pytest.mark.parametrize("n", [6, 11, 12, 19, 100, 1001])
+    def test_construction_array_gives_the_same_coloring(self, n):
+        c = construct_tdc(n).coloring
+        from_colors = Coloring.from_colors(n, c.color)
+        from_classes = Coloring.from_classes(n, c.classes)
+        assert from_colors == from_classes == c
+        assert len(from_colors) == len(from_classes) and from_colors.as_lists() == c.as_lists()
 
 
 class TestIsProper:
@@ -219,6 +287,25 @@ class TestIsTdc:
         for rec, cls, cn in zip(rep.classes, c.classes, ref_cn):
             assert rec.vertices == tuple(sorted(cls)) and rec.size == len(cls)
             assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mixed_size_colorings())
+    def test_matches_reference_on_color_arrays(self, case):
+        g, distances, classes = case
+        n = g.n
+        color = [0] * n
+        for idx, cls in enumerate(classes):
+            for v in cls:
+                color[v - 1] = idx
+        c = Coloring.from_colors(n, color)
+        adj = oracles.neighbors(n, distances)
+        rep = is_tdc(g, c)
+        covered = set().union(*(oracles.common_neighbors(adj, cls) for cls in classes))
+        assert rep.proper == oracles.is_proper_classes(adj, classes)
+        assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
+        assert rep.tdc == oracles.is_tdc_classes(n, adj, classes)
+        # the verdict is read from the color array: no class set was built
+        assert "classes" not in vars(c)
 
     def test_leaves_masks_unbuilt(self):
         g = standard_circulant(10**5)

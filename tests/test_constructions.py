@@ -63,6 +63,14 @@ class TestResidueScheme:
         assert oracles.is_tdc_classes(n, adj, plan.coloring.as_lists()), plan.coloring.as_lists()
         assert len(plan.coloring) == formula_tdc(n)
 
+    def test_matches_set_algebra(self):
+        """The color array gives the classes, order and packing of the set algebra."""
+        for n in range(12, 2001):
+            packing, classes = oracles.residue_classes_reference(n)
+            plan = construct_tdc(n)
+            assert plan.packing == packing, n
+            assert plan.classes == tuple(classes), n
+
     @pytest.mark.parametrize("n", range(12, 40))
     def test_packing_is_open_packing(self, n):
         g = standard_circulant(n)
@@ -99,6 +107,12 @@ class TestVerifyConstruction:
         verdict = verify_construction(n)
         assert verdict.ok
         assert verdict.num_classes == formula_tdc(n)
+
+    @pytest.mark.parametrize("n", [*range(12, 20), 40007])
+    def test_certificate_builds_no_class_sets(self, n):
+        verdict = verify_construction(n)
+        assert verdict.ok
+        assert "classes" not in vars(verdict.coloring)
 
     def test_report_carries_class_records(self):
         verdict = verify_construction(12)
