@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -146,14 +147,17 @@ def integer(token: str) -> int:
 
 
 def decimal(token: str) -> float:
-    """The number that `token` spells as -?[0-9]+(.[0-9]+)?, else a ValueError naming it.
+    """The finite number that `token` spells as -?[0-9]+(.[0-9]+)?, else a ValueError naming it.
 
     float() would also read "inf", "1e-3", "+3", "0_3", " 5" and non-ASCII
-    digits.
+    digits, and it turns a token of 309 or more digits into inf.
     """
     if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", token):
         raise ValueError(f"{token!r} is not a decimal number")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is too large to be a finite number")
+    return value
 
 
 def _pair(args) -> tuple[int, int] | None:
@@ -261,10 +265,12 @@ def _cmd_sweep(args) -> RunReport:
         report.results.append(result)
         report.claim(result, "chi_dt", formula_value, "formula")
         verdict = verify_construction(n)
-        report.mark(verdict.ok)
-        tdc = verdict.report.tdc
-        report.claim(result, "chi_dt", verdict.num_classes, "construction", tdc=tdc)
-        agree, exact = verdict.ok, ""
+        ok, tdc, classes = verdict.ok, verdict.report.tdc, verdict.num_classes
+        # release the plan, coloring and report before the next n is built
+        del verdict
+        report.mark(ok)
+        report.claim(result, "chi_dt", classes, "construction", tdc=tdc)
+        agree, exact = ok, ""
         if args.exact_up_to is not None and n <= args.exact_up_to:
             graph = standard_circulant(n)
             outcome = _check_exact(
@@ -275,7 +281,7 @@ def _cmd_sweep(args) -> RunReport:
             exact = outcome.chi_dt
             report.claim(result, "chi_dt", exact, "exact-search")
             agree = agree and exact == formula_value
-        report.csv.append(f"{n},{formula_value},{verdict.num_classes},{tdc},{exact},{agree}")
+        report.csv.append(f"{n},{formula_value},{classes},{tdc},{exact},{agree}")
     return report
 
 

@@ -1,10 +1,10 @@
 """Colorings, properness, common neighborhoods and the total dominator test.
 
-A Coloring is its color array: color[v-1] is the 0-based index of the class
-of vertex v.  The class frozensets are derived from the array only when a
-caller reads `classes`.  is_proper compares the array with its rotations,
-and is_tdc reads coverage from the class sizes and the graph's offsets, so
-certifying a coloring builds no per-class set.
+A Coloring is its color array and its class count: color[v-1] is the
+0-based index of the class of vertex v.  as_lists() is the one class view,
+grouped from the array in one pass.  is_proper compares the array with its
+rotations, and is_tdc reads coverage from the class sizes and the graph's
+offsets, so certifying a coloring builds no per-class set.
 """
 
 from __future__ import annotations
@@ -25,48 +25,45 @@ class ColoringError(ValueError):
 
 @dataclass(frozen=True)
 class Coloring:
-    """A partition of {1..n} into nonempty color classes, in a fixed order.
+    """A partition of {1..n} into k nonempty color classes, in a fixed order.
 
-    The color array is the one stored form: `color[v-1]` is the 0-based
-    index of the class holding vertex v, and every index in 0..k-1 is
-    used, so the array is a partition by construction.  Equality and
-    hashing compare the arrays.  `classes`, the frozensets in index order,
-    are built from the array on first read and then kept.  The constructor
-    trusts its array; `from_classes` and `from_colors` check their input.
+    `color[v-1]` is the 0-based index of the class holding vertex v, and
+    every index in 0..k-1 is used, so the array is a partition by
+    construction; `k` is stored, so len() never rescans the array.
+    Equality and hashing compare the arrays.  The constructor trusts its
+    arguments; `from_classes` and `from_colors` check their input.
     """
 
     n: int
     color: tuple[int, ...]
+    k: int
 
     @staticmethod
     def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "Coloring":
         """Freeze `classes` into a Coloring, or name the first fault.
 
-        Nonempty classes whose sizes sum to n and whose union has n members,
-        all of type int and in 1..n, are exactly the partitions of {1..n},
-        and that test runs in C: one label of another type, even 2.0 or a
-        string, fails it.  Only input that fails it walks the classes in
-        order, so the first fault found (empty class, non-integer label,
-        label out of range, repeat, uncovered vertex) is the one reported.
-        The frozensets are kept as the cached `classes`.
+        Each class is read as a set, and the classes are walked in order,
+        writing each label's class index into the color array.  The first
+        fault raises: an empty class, a label that is not an int (a bool or
+        2.0 is not), a label outside 1..n, or one already in an earlier
+        class; after the walk, the least vertex that no class holds.
         """
         sets = tuple(frozenset(c) for c in classes)
-        union = frozenset().union(*sets)
-        if not (
-            all(sets)
-            and sum(map(len, sets)) == n == len(union)
-            and set(map(type, union)) == {int}
-            and min(union) >= 1
-            and max(union) <= n
-        ):
-            _walk_classes(n, sets)
-        color = [0] * n
+        color = [-1] * n
         for idx, cls in enumerate(sets):
+            if not cls:
+                raise ColoringError(f"class {idx + 1} is empty")
             for v in cls:
+                if type(v) is not int:
+                    raise ColoringError(f"label {v!r} is not an integer")
+                if not 1 <= v <= n:
+                    raise ColoringError(f"vertex {v} is outside 1..{n}")
+                if color[v - 1] >= 0:
+                    raise ColoringError(f"vertex {v} appears in more than one class")
                 color[v - 1] = idx
-        coloring = Coloring(n, tuple(color))
-        vars(coloring).update(classes=sets, _k=len(sets))
-        return coloring
+        if -1 in color:
+            raise ColoringError(f"vertex {color.index(-1) + 1} is not covered by any class")
+        return Coloring(n, tuple(color), len(sets))
 
     @staticmethod
     def from_colors(n: int, color: Sequence[int]) -> "Coloring":
@@ -78,27 +75,17 @@ class Coloring:
         is walked, to name the first vertex at fault or the first unused
         index.
         """
-        k = _count_classes(n, color)
-        coloring = Coloring(n, tuple(color))
-        vars(coloring)["_k"] = k
-        return coloring
-
-    @cached_property
-    def classes(self) -> tuple[frozenset[int], ...]:
-        members: list[list[int]] = [[] for _ in range(len(self))]
-        for v, c in enumerate(self.color, start=1):
-            members[c].append(v)
-        return tuple(map(frozenset, members))
-
-    @cached_property
-    def _k(self) -> int:
-        return max(self.color, default=-1) + 1
+        return Coloring(n, tuple(color), _count_classes(n, color))
 
     def __len__(self) -> int:
-        return self._k
+        return self.k
 
     def as_lists(self) -> list[list[int]]:
-        return [sorted(c) for c in self.classes]
+        """The classes in index order, each an ascending list of its vertices."""
+        lists: list[list[int]] = [[] for _ in range(self.k)]
+        for v, c in enumerate(self.color, start=1):
+            lists[c].append(v)
+        return lists
 
 
 def _count_classes(n: int, color: Sequence[int]) -> int:
@@ -117,25 +104,6 @@ def _count_classes(n: int, color: Sequence[int]) -> int:
         missing = min(set(range(top)) - used)
         raise ColoringError(f"class {missing + 1} is empty: no vertex has color {missing}")
     return len(used)
-
-
-def _walk_classes(n: int, sets: tuple[frozenset, ...]) -> None:
-    """Raise ColoringError for the first fault in `sets`, in class order."""
-    seen: set[int] = set()
-    for idx, cls in enumerate(sets):
-        if not cls:
-            raise ColoringError(f"class {idx + 1} is empty")
-        for v in cls:
-            if not isinstance(v, int):
-                raise ColoringError(f"label {v!r} is not an integer")
-            if not (1 <= v <= n):
-                raise ColoringError(f"vertex {v} is outside 1..{n}")
-            if v in seen:
-                raise ColoringError(f"vertex {v} appears in more than one class")
-            seen.add(v)
-    if len(seen) != n:
-        missing = min(set(range(1, n + 1)) - seen)
-        raise ColoringError(f"vertex {missing} is not covered by any class")
 
 
 @dataclass(frozen=True)
@@ -179,12 +147,12 @@ class ColoringReport:
         n, offsets = self.n, self.graph.offsets
         offset_set = frozenset(offsets)
         records = []
-        for cls in self.coloring.classes:
-            cn = sorted(_common_neighbors(n, offsets, offset_set, cls))
+        for members in self.coloring.as_lists():
+            cn = sorted(_common_neighbors(n, offsets, offset_set, members))
             records.append(
                 ClassRecord(
-                    vertices=tuple(sorted(cls)),
-                    size=len(cls),
+                    vertices=tuple(members),
+                    size=len(members),
                     common_neighborhood=tuple(cn),
                     cn_size=len(cn),
                 )

@@ -45,6 +45,9 @@ _SMALL_TABLE: dict[int, tuple[tuple[int, ...], ...]] = {
 class ConstructionPlan:
     """A constructed coloring together with the pieces it was assembled from.
 
+    k = n // 8 and residue = n % 8 pick the row of the residue scheme;
+    `coloring` is the Coloring, its color array and class count, and
+    `coloring.as_lists()` lists its classes.
     packing is the open packing whose members become singleton classes
     (empty for n <= 11, where the table is used verbatim).  It is built on
     first read, so certifying the coloring never pays for it.
@@ -60,10 +63,6 @@ class ConstructionPlan:
         if self.n <= 11:
             return frozenset()
         return frozenset(chain(range(1, 8 * self.k, 8), range(2, 8 * self.k, 8)))
-
-    @property
-    def classes(self) -> tuple[frozenset[int], ...]:
-        return self.coloring.classes
 
     def to_dict(self) -> dict:
         return {

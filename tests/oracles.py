@@ -55,6 +55,31 @@ def is_partition(n, classes):
     return all(sets) and sorted(v for s in sets for v in s) == list(range(1, n + 1))
 
 
+def first_partition_fault(n, classes):
+    """The message naming the first fault of `classes` as a partition of {1..n}, or None.
+
+    The classes are read in order, each iterated as its frozenset.  In a
+    class, the faults are: being empty; then, label by label, a label that
+    is not an int (bool included), one outside 1..n, and one already seen
+    in an earlier class.  After all classes, the least vertex of 1..n that
+    no class holds is the fault.
+    """
+    seen = set()
+    for number, cls in enumerate(map(frozenset, classes), start=1):
+        if not cls:
+            return f"class {number} is empty"
+        for v in cls:
+            if not isinstance(v, int) or isinstance(v, bool):
+                return f"label {v!r} is not an integer"
+            if v < 1 or v > n:
+                return f"vertex {v} is outside 1..{n}"
+            if v in seen:
+                return f"vertex {v} appears in more than one class"
+            seen.add(v)
+    missing = sorted(set(range(1, n + 1)) - seen)
+    return f"vertex {missing[0]} is not covered by any class" if missing else None
+
+
 def is_proper_classes(adj, classes):
     return all(not (set(c) & adj[v]) for c in classes for v in c)
 
@@ -304,9 +329,10 @@ def class_size_capacity_check(g, coloring):
     if g.n < 9 or set(g.connection_set) != {1, 3}:
         raise ValueError("capacity check applies to the standard distance-{1,3} graph with n >= 9")
     adj = neighbors(g.n, {1, 3})
-    if not is_proper_classes(adj, coloring.classes):
+    classes = coloring.as_lists()
+    if not is_proper_classes(adj, classes):
         raise ColoringError("capacity check requires a proper coloring")
-    for cls in coloring.classes:
+    for cls in classes:
         size, cn_size = len(cls), len(common_neighbors(adj, cls))
         if (size <= 4 and size + cn_size > 5) or (size >= 5 and cn_size):
             return False

@@ -1,10 +1,11 @@
 import io
 import json
 import time
+import weakref
 
 import pytest
 
-from circulant_tdc import BudgetExceededError, Coloring, build_circulant, is_tdc
+from circulant_tdc import BudgetExceededError, Coloring, build_circulant, is_tdc, verify_construction
 from circulant_tdc import cli
 from circulant_tdc.cli import main
 
@@ -100,6 +101,14 @@ class TestChidt:
         assert (code, out) == (1, "")
         assert err == f"error: {value!r} is not a decimal number\n"
 
+    def test_budget_seconds_is_finite(self, capsys):
+        # the token matches the decimal pattern, but float() reads it as inf
+        value = "9" * 309
+        code, out = run_cli("chidt", "13", "--exact", "--budget-seconds", value)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == f"error: {value!r} is too large to be a finite number\n"
+
     def test_exact_disagreement_found_at_18(self):
         # exact search proves 7 while the closed form says 8
         code, out = run_cli("chidt", "18", "--exact")
@@ -107,6 +116,21 @@ class TestChidt:
 
 
 class TestSweep:
+    def test_releases_each_verdict_before_the_next(self, monkeypatch):
+        verdicts = []
+
+        def verify(n, reduction=None):
+            alive = [ref().plan.n for ref in verdicts if ref() is not None]
+            assert not alive, f"verdicts for n = {alive} alive while building n = {n}"
+            verdict = verify_construction(n, reduction)
+            verdicts.append(weakref.ref(verdict))
+            return verdict
+
+        monkeypatch.setattr(cli, "verify_construction", verify)
+        code, out = run_cli("sweep", "6", "20", "--exact-up-to", "8", "--csv")
+        assert code == 0 and len(verdicts) == 15
+        assert out.splitlines()[1:3] == ["6,2,2,True,2,True", "7,4,4,True,4,True"]
+
     def test_range_all_agree(self):
         code, out = run_cli("sweep", "6", "12")
         assert code == 0

@@ -52,7 +52,7 @@ def mixed_size_colorings(draw, max_n=24):
     g = build_circulant(n, sorted(distances))
     if draw(st.booleans()):
         greedy = random_greedy_coloring(g, draw(st.integers(0, 10**6)))
-        return g, distances, [sorted(c) for c in greedy.classes]
+        return g, distances, greedy.as_lists()
     degree = g.degree
     order = draw(st.permutations(range(1, n + 1)))
     sizes = st.one_of(
@@ -91,9 +91,10 @@ class TestColoringValidation:
             message = self._message(8, [[1, 2, label], [3, 4, 5, 6, 7, 8]])
             assert message == f"vertex {label} is outside 1..8"
 
-    # a float label equal to an integer, like 2.0, hashes as that integer;
-    # a string or None does not even compare with the integer labels
-    @pytest.mark.parametrize("label", [1.5, 2.0, "a", None])
+    # a float label equal to an integer, like 2.0, hashes as that integer,
+    # and True is an int subclass equal to 1; a string or None does not
+    # even compare with the integer labels
+    @pytest.mark.parametrize("label", [1.5, 2.0, "a", None, True])
     def test_rejects_non_integer_label(self, label):
         assert self._message(6, [[1, 3, 5], [label, 4, 6]]) == f"label {label!r} is not an integer"
 
@@ -139,7 +140,46 @@ class TestColoringValidation:
             assert not expected
         else:
             assert expected
-            assert c.classes == tuple(frozenset(cls) for cls in classes)
+            assert c.as_lists() == [sorted(set(cls)) for cls in classes]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_first_fault_matches_reference(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups: dict[int, list] = {}
+        for v, label in enumerate(labels, start=1):
+            groups.setdefault(label, []).append(v)
+        classes = list(groups.values())
+        # perturb the partition: an empty class, a float label, a label out
+        # of range, a label copied from some class (a repeat within one class
+        # is absorbed by the set), a missing vertex
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["empty", "float", "range", "repeat", "missing"]))
+            idx = data.draw(st.integers(0, len(classes) - 1))
+            cls = classes[idx]
+            if kind == "empty":
+                classes.insert(idx, [])
+            elif kind == "float" and cls:
+                pos = data.draw(st.integers(0, len(cls) - 1))
+                cls[pos] = data.draw(st.sampled_from([float(cls[pos]), cls[pos] + 0.5]))
+            elif kind == "range":
+                cls.append(data.draw(st.sampled_from([-1, 0, n + 1, n + 2])))
+            elif kind == "repeat":
+                other = classes[data.draw(st.integers(0, len(classes) - 1))]
+                if other:
+                    cls.append(data.draw(st.sampled_from(other)))
+            elif kind == "missing" and cls:
+                del cls[data.draw(st.integers(0, len(cls) - 1))]
+        expected = oracles.first_partition_fault(n, classes)
+        try:
+            c = Coloring.from_classes(n, classes)
+        except ColoringError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            # a class is a set: a label repeated within it counts once
+            assert c.as_lists() == [sorted(set(cls)) for cls in classes]
 
 
 class TestFromColors:
@@ -152,7 +192,7 @@ class TestFromColors:
     def test_round_trip(self):
         c = Coloring.from_colors(6, [1, 0, 1, 0, 2, 0])
         assert len(c) == 3 and c.color == (1, 0, 1, 0, 2, 0)
-        assert c.classes == (frozenset({2, 4, 6}), frozenset({1, 3}), frozenset({5}))
+        assert c.as_lists() == [[2, 4, 6], [1, 3], [5]]
         assert c == Coloring.from_classes(6, [[2, 4, 6], [1, 3], [5]])
 
     @pytest.mark.parametrize("color", [[0, 1, 0], [0, 1, 0, 1, 0]])
@@ -176,7 +216,7 @@ class TestFromColors:
     def test_construction_array_gives_the_same_coloring(self, n):
         c = construct_tdc(n).coloring
         from_colors = Coloring.from_colors(n, c.color)
-        from_classes = Coloring.from_classes(n, c.classes)
+        from_classes = Coloring.from_classes(n, c.as_lists())
         assert from_colors == from_classes == c
         assert len(from_colors) == len(from_classes) and from_colors.as_lists() == c.as_lists()
 
@@ -276,16 +316,17 @@ class TestIsTdc:
         n = g.n
         adj = oracles.neighbors(n, distances)
         rep = is_tdc(g, c)
-        assert rep.proper == oracles.is_proper_classes(adj, c.classes)
-        ref_cn = [oracles.common_neighbors(adj, cls) for cls in c.classes]
+        classes = c.as_lists()
+        assert rep.proper == oracles.is_proper_classes(adj, classes)
+        ref_cn = [oracles.common_neighbors(adj, cls) for cls in classes]
         covered = set().union(*ref_cn)
         # the verdict comes from the offsets alone, before any record exists
         assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
-        assert rep.tdc == oracles.is_tdc_classes(n, adj, c.as_lists())
+        assert rep.tdc == oracles.is_tdc_classes(n, adj, classes)
         assert "classes" not in vars(rep)
-        assert len(rep.classes) == len(c.classes)
-        for rec, cls, cn in zip(rep.classes, c.classes, ref_cn):
-            assert rec.vertices == tuple(sorted(cls)) and rec.size == len(cls)
+        assert len(rep.classes) == len(classes)
+        for rec, cls, cn in zip(rep.classes, classes, ref_cn):
+            assert rec.vertices == tuple(cls) and rec.size == len(cls)
             assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
 
     @settings(max_examples=200, deadline=None)
@@ -304,8 +345,8 @@ class TestIsTdc:
         assert rep.proper == oracles.is_proper_classes(adj, classes)
         assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
         assert rep.tdc == oracles.is_tdc_classes(n, adj, classes)
-        # the verdict is read from the color array: no class set was built
-        assert "classes" not in vars(c)
+        # the verdict is read from the color array: no class record was built
+        assert "classes" not in vars(rep)
 
     def test_leaves_masks_unbuilt(self):
         g = standard_circulant(10**5)
