@@ -7,7 +7,7 @@ cover; a class covers the intersection of its members' demand sets, and
 every vertex must be covered.  tdc_feasible asks for demand[v] = N(v), the
 common neighborhoods of a total dominator coloring.  chromatic_number_oracle
 asks for nothing: demand[v] is every vertex, so it is plain proper-coloring
-backtracking.  Two sound forward checks prune the tree:
+backtracking.  Three sound forward checks prune the tree:
 
 * coverage: a class's common neighborhood only shrinks as the class grows,
   so a vertex not in the union of the current common neighborhoods can only
@@ -15,22 +15,34 @@ backtracking.  Two sound forward checks prune the tree:
   remains inside its neighborhood;
 * counting: for the same reason, the vertices outside that union number at
   most |demand| (what one class can cover: the degree, for a total
-  dominator coloring) times the number of classes still empty.
+  dominator coloring) times the number of classes still empty;
+* disjoint needs (an open-packing bound, as in the total domination
+  oracle): an empty class that covers such a vertex x has all its members
+  in demand[x] (demand is symmetric: u is in demand[x] exactly when x is
+  in demand[u]) and among the uncolored vertices, its options.  Walking
+  those vertices in increasing order, one is counted when its options miss
+  the options of every vertex counted before it; counted vertices need
+  pairwise distinct empty classes, so more of them than the classes still
+  empty is fatal.
 
-Both are kept incrementally, so a child node costs O(1) unless its class
-loses common neighbors: the search carries the union of the common
+The first two are kept incrementally, so a child node costs O(1) unless its
+class loses common neighbors: the search carries the union of the common
 neighborhoods and the slack (their sizes summed, plus |demand| per empty
 class, minus n) down the recursion and updates them only for the class that
 changed.  A union is never larger than the sum, so a negative slack fails
 the counting test; this O(1) test runs first, and the union is rebuilt, over
 the other classes, only for a child that passes it and whose class lost
-vertices.
+vertices.  The walk runs last, and only for a child with more vertices
+outside the union than empty classes.
 
-Neither check assumes anything beyond the graph being regular of known
-degree, so verdicts are search-exact.  tdc_number_exact scans class counts
-upward from max(chromatic number, total domination number) to a proven
-upper bound; minimality never relies on monotonicity of feasibility because
-every smaller count is exhausted first.
+The checks assume only that the demand sets all have one size and that
+demand is symmetric, as neighborhoods in a regular graph and the full sets
+are, so verdicts are search-exact.  They cut only subtrees that hold no
+solution, so the first coloring found is the one that plain backtracking in
+the same order finds.  tdc_number_exact scans class counts upward from
+max(chromatic number, total domination number) to a proven upper bound;
+minimality never relies on monotonicity of feasibility because every
+smaller count is exhausted first.
 """
 
 from __future__ import annotations
@@ -109,8 +121,8 @@ def tdc_feasible(
 
     Every child node counts toward the node budget once it passes the
     properness test; the O(1) slack test then runs before the coverage union
-    is built, and the counting and coverage tests run on that union.  A
-    budget stop returns BUDGET_EXCEEDED.
+    is built, the counting and coverage tests run on that union, and the
+    disjoint-needs walk runs last.  A budget stop returns BUDGET_EXCEEDED.
     """
     if not (1 <= num_colors <= g.n):
         raise ValueError(f"need 1 <= num_colors <= {g.n}, got {num_colors}")
@@ -125,9 +137,10 @@ def _search(
     A class covers the vertices in the intersection of demand[v] over its
     members v, and every vertex must be covered by some class.  With
     demand[v] = N(v) that is a total dominator coloring.  With every demand
-    set full, every class covers everything, so the coverage and counting
-    prunes never fire and the search is plain first-use proper-coloring
-    backtracking.  All demand sets must have the same size.
+    set full, every class covers everything, so the coverage, counting and
+    disjoint-needs prunes never fire and the search is plain first-use
+    proper-coloring backtracking.  All demand sets must have the same size,
+    and demand must be symmetric: u in demand[v] exactly when v in demand[u].
     """
     n = g.n
     full = g.full_mask
@@ -165,6 +178,7 @@ def _search(
         dv = demand[v]
         out = outside[v]
         future = can_cover_later[v + 1]
+        rest = full >> (v + 1) << (v + 1)
         for c in range(1, (used + 1 if used < num_colors else num_colors) + 1):
             saved_member = member[c]
             if saved_member & nv:
@@ -195,8 +209,28 @@ def _search(
                 else:
                     now_slack, new_cn, now_cover = slack, saved_cn, cover
                 now_used = used
-            if n - now_cover.bit_count() > room[now_used] or now_cover | future != full:
+            uncovered = n - now_cover.bit_count()
+            if uncovered > room[now_used] or now_cover | future != full:
                 continue
+            free = num_colors - now_used
+            if uncovered > free:
+                # disjoint needs: a counted vertex x's options, demand[x] &
+                # rest, miss those of every vertex counted before it, so each
+                # one needs an empty class of its own; union lies in rest, so
+                # demand[x] meets it exactly when the options do
+                needs = full & ~now_cover
+                union = counted = 0
+                while needs:
+                    low = needs & -needs
+                    needs ^= low
+                    dx = demand[low.bit_length() - 1]
+                    if not dx & union:
+                        union |= dx & rest
+                        counted += 1
+                        if counted > free:
+                            break
+                if counted > free:
+                    continue
             member[c] = saved_member | bit
             cn[c] = new_cn
             result = rec(v + 1, now_used, now_slack, now_cover)

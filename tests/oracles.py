@@ -227,7 +227,9 @@ def tdc_feasible_plain(n, adj, num_colors):
     """Plain backtracking over proper colorings with a leaf TDC check.
 
     No domination-based pruning at all; used to cross-validate the pruned
-    search in the package.
+    search in the package.  Vertices go in increasing order and colors in
+    first-use order, as there.  Returns the first total dominator coloring
+    found, as sorted classes in first-use order, or None.
     """
     classes = [set() for _ in range(num_colors)]
 
@@ -240,12 +242,11 @@ def tdc_feasible_plain(n, adj, num_colors):
                 continue
             classes[idx].add(v)
             if rec(v + 1, max(used, idx + 1)):
-                classes[idx].discard(v)
                 return True
             classes[idx].discard(v)
         return False
 
-    return rec(1, 0)
+    return [sorted(c) for c in classes if c] if rec(1, 0) else None
 
 
 def _proper_coloring_search(masks: list[int], n: int, num_colors: int) -> list[int] | None:

@@ -53,19 +53,19 @@ class TestFeasibility:
         assert out.status == "budget_exceeded"
         assert out.coloring is None
 
-    # C_18(2,5) with 7 classes is infeasible after a tree of 20939 nodes
-    @pytest.mark.parametrize("max_nodes", [1, 5, 777, 4095, 4096, 20000, 20938])
+    # C_34(1,3) with 11 classes is infeasible after a tree of 29265 nodes
+    @pytest.mark.parametrize("max_nodes", [1, 5, 777, 4095, 4096, 20000, 29264])
     def test_node_budget_stops_at_the_next_node(self, max_nodes):
         # the node that exceeds the budget is counted, then the search stops
-        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_nodes=max_nodes))
+        out = tdc_feasible(standard_circulant(34), 11, SearchBudget(max_nodes=max_nodes))
         assert (out.status, out.nodes_explored) == ("budget_exceeded", max_nodes + 1)
 
     def test_node_budget_equal_to_the_tree_is_enough(self):
-        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_nodes=20939))
-        assert (out.status, out.nodes_explored) == ("infeasible", 20939)
+        out = tdc_feasible(standard_circulant(34), 11, SearchBudget(max_nodes=29265))
+        assert (out.status, out.nodes_explored) == ("infeasible", 29265)
 
     def test_deadline_is_polled_every_4096_nodes(self):
-        out = tdc_feasible(build_circulant(18, (2, 5)), 7, SearchBudget(max_seconds=1e-9))
+        out = tdc_feasible(standard_circulant(34), 11, SearchBudget(max_seconds=1e-9))
         assert (out.status, out.nodes_explored) == ("budget_exceeded", 4096)
 
     @pytest.mark.parametrize(
@@ -85,58 +85,63 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("n,dists", PLAIN_CASES)
     def test_agrees_with_plain_search(self, n, dists):
-        """Pruned search vs pruning-free reference, all class counts."""
+        """Pruned search vs pruning-free reference, all class counts.
+
+        The prunes are sound and the branching order is the reference's, so
+        the search must return the reference's first coloring, not just agree
+        on whether one exists.
+        """
         adj = oracles.neighbors(n, oracles.normalized_distances(n, dists))
         g = build_circulant(n, dists)
         for k in range(1, n + 1):
-            fast = tdc_feasible(g, k).status == "feasible"
-            plain = oracles.tdc_feasible_plain(n, adj, k)
-            assert fast == plain, (n, dists, k)
+            out = tdc_feasible(g, k)
+            witness = out.coloring.as_lists() if out.coloring else None
+            assert witness == oracles.tdc_feasible_plain(n, adj, k), (n, dists, k)
 
 
 # (n, connection set, k) -> (status, nodes_explored, witness classes).  Any
 # change to the branching order or to the pruning tests moves these numbers;
 # a change that only makes nodes cheaper must keep them.
 SEARCH_TREE = {
-    (12, (1, 3), 5): ("infeasible", 1180, None),
+    (12, (1, 3), 5): ("infeasible", 177, None),
     (12, (1, 3), 6): ("feasible", 18, [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11], [12]]),
     (16, (1, 3), 6): (
-        "feasible", 67, [[1, 3, 5, 9, 11, 13], [2, 4, 6, 10, 12, 14], [7], [8], [15], [16]]
+        "feasible", 63, [[1, 3, 5, 9, 11, 13], [2, 4, 6, 10, 12, 14], [7], [8], [15], [16]]
     ),
-    (20, (1, 3), 7): ("infeasible", 3006, None),
+    (20, (1, 3), 7): ("infeasible", 338, None),
     (20, (1, 3), 8): (
         "feasible",
         57,
         [[1, 3, 5, 7], [2, 4, 6, 8], [9], [10], [11, 13, 15, 17], [12, 14, 16, 18], [19], [20]],
     ),
-    (13, (2, 6), 5): ("infeasible", 635, None),
+    (13, (2, 6), 5): ("infeasible", 429, None),
     (17, (2, 6), 7): (
         "feasible", 26, [[1, 2, 5, 6, 9, 10], [3, 4, 7, 8, 11, 12], [13], [14], [15], [16], [17]]
     ),
-    (14, (1, 4), 6): ("feasible", 40, [[1, 3, 6, 12], [2, 4, 7, 13], [5, 8, 14], [9], [10], [11]]),
-    (18, (1, 4), 7): ("infeasible", 9405, None),
+    (14, (1, 4), 6): ("feasible", 21, [[1, 3, 6, 12], [2, 4, 7, 13], [5, 8, 14], [9], [10], [11]]),
+    (18, (1, 4), 7): ("infeasible", 1205, None),
     (18, (1, 4), 8): (
         "feasible",
-        953,
+        115,
         [[1, 3, 6, 16], [2, 4, 7, 12, 14], [5, 8, 13, 15], [9], [10], [11], [17], [18]],
     ),
-    (20, (1, 4), 7): ("infeasible", 693, None),
-    (16, (2, 5), 6): ("infeasible", 1829, None),
+    (20, (1, 4), 7): ("infeasible", 279, None),
+    (16, (2, 5), 6): ("infeasible", 568, None),
     (16, (2, 5), 7): (
-        "feasible", 3559, [[1, 2, 5, 11], [3, 6, 12, 15], [4, 7, 13, 16], [8], [9], [10], [14]]
+        "feasible", 530, [[1, 2, 5, 11], [3, 6, 12, 15], [4, 7, 13, 16], [8], [9], [10], [14]]
     ),
-    (19, (2, 5), 7): ("infeasible", 5744, None),
+    (19, (2, 5), 7): ("infeasible", 1173, None),
     (19, (2, 5), 8): (
         "feasible",
-        1770,
+        526,
         [[1, 2, 5, 9, 13, 17], [3, 4, 7, 11, 15, 19], [6, 18], [8], [10], [12], [14], [16]],
     ),
 }
 
 # total nodes of tdc_number_exact(standard_circulant(n)) over the levels it searches
 EXACT_NODES = {
-    6: 0, 7: 0, 8: 0, 9: 11, 10: 0, 11: 58, 12: 1204, 13: 556, 14: 290, 15: 56,
-    16: 28, 17: 807, 18: 390, 19: 10607, 20: 3030,
+    6: 0, 7: 0, 8: 0, 9: 5, 10: 0, 11: 16, 12: 189, 13: 251, 14: 34, 15: 40,
+    16: 12, 17: 345, 18: 371, 19: 3940, 20: 350,
 }
 
 
