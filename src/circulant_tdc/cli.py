@@ -4,7 +4,7 @@ Commands: chidt, sweep, invariants, verify-coloring, construct, reduce,
 table.  A command returns a RunReport and prints nothing; main alone writes
 it: human text by default, --csv rows (sweep, table), or with --json the one
 envelope {version, command, inputs, results, summary} of every command, with
-results sorted by n (table's summary adds rows and offset_inconsistencies).
+results in increasing n (table's summary adds rows and offset_inconsistencies).
 Every numeric claim carries a source tag: "formula", "construction",
 "oracle" or "exact-search".  An input error prints one "error:" line on
 stderr and nothing on stdout.
@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, ColoringError, is_tdc
+from .coloring import Coloring, ColoringError, common_neighborhood, is_tdc
 from .constructions import verify_construction
 from .formulas import (
     TABLE_COLUMNS,
@@ -101,10 +101,13 @@ class RunReport:
         return EXIT_DISAGREE if self.disagreements else EXIT_OK
 
     def render(self, fmt: str, started: float) -> list[str]:
-        """The output lines in "text", "csv" or "json"; `started` is when the run began."""
+        """The output lines in "text", "csv" or "json"; `started` is when the run began.
+
+        Results are listed in the order they were appended, which is
+        increasing n: every command appends its results in that order.
+        """
         if fmt == "csv":
             return self.csv
-        results = sorted(self.results, key=lambda r: r.get("n", 0))
         if fmt == "json":
             summary = {
                 "agreements": self.agreements,
@@ -114,11 +117,11 @@ class RunReport:
                 **self.summary,
             }
             envelope = {"version": SCHEMA_VERSION, "command": self.command, "inputs": self.inputs}
-            return [json.dumps({**envelope, "results": results, "summary": summary}, indent=2)]
+            return [json.dumps({**envelope, "results": self.results, "summary": summary}, indent=2)]
         if self.text:
             return self.text
         lines = []
-        for result in results:
+        for result in self.results:
             lines.append(result["header"])
             for claim in result.get("claims", []):
                 extras = {
@@ -206,11 +209,8 @@ def _cmd_chidt(args) -> RunReport:
     report.results.append(result)
 
     reduction = None
-    if pair is None:
-        formula_value = formula_tdc(n)
-    else:
+    if pair is not None:
         reduction = reduce_either_order(n, *pair)
-        formula_value = formula_tdc(n)
         result["reduction"] = {
             "standard_c": reduction.standard_c,
             "congruence": reduction.congruence,
@@ -220,6 +220,7 @@ def _cmd_chidt(args) -> RunReport:
             f"C_{n}({args.a},{args.b}) reduces to C_{n}(1,{reduction.standard_c}) "
             f"via x -> {reduction.a_inverse}x mod {n} ({reduction.congruence} congruence)"
         )
+    formula_value = formula_tdc(n)
     if n == 6:
         report.notes.append("n=6 is covered by the standard-graph statement only")
     report.claim(result, "chi_dt", formula_value, "formula")
@@ -286,9 +287,9 @@ def _cmd_sweep(args) -> RunReport:
 
 
 _INVARIANTS = (
-    ("independence", independence_number_formula, 4, independence_number_oracle),
-    ("open_packing", open_packing_number_formula, 3, open_packing_number_oracle),
-    ("total_domination", total_domination_number_formula, 4, total_domination_number_oracle),
+    ("independence", independence_number_formula, independence_number_oracle),
+    ("open_packing", open_packing_number_formula, open_packing_number_oracle),
+    ("total_domination", total_domination_number_formula, total_domination_number_oracle),
 )
 
 
@@ -296,7 +297,8 @@ def _cmd_invariants(args) -> RunReport:
     """Oracle values, and the paper's closed forms where they apply.
 
     A closed form is claimed, and an oracle value marked against it, only
-    for the standard distance-{1,3} graph from the form's least n on.
+    for the standard distance-{1,3} graph and only where the form gives a
+    value: below its least n it raises ValueError.
     """
     n = args.n
     report = RunReport("invariants", {"n": n, "oracle": args.oracle, "set": args.set})
@@ -306,13 +308,15 @@ def _cmd_invariants(args) -> RunReport:
 
     claimed = {}
     if is_standard_13(graph):
-        for name, formula, min_n, _ in _INVARIANTS:
-            if n >= min_n:
+        for name, formula, _ in _INVARIANTS:
+            try:
                 claimed[name] = formula(n)
-                report.claim(result, name, claimed[name], "formula")
+            except ValueError:
+                continue
+            report.claim(result, name, claimed[name], "formula")
 
     if args.oracle:
-        for name, _, _, oracle in _INVARIANTS:
+        for name, _, oracle in _INVARIANTS:
             try:
                 inv = oracle(graph, limit=args.limit)
             except OracleLimitError as exc:
@@ -377,15 +381,28 @@ def _cmd_verify_coloring(args) -> RunReport:
         raise ColoringError(f"{args.coloring_file}: {exc}") from exc
     tdc_report = is_tdc(graph, coloring)
     report = RunReport("verify-coloring", {"n": graph.n, "coloring_file": args.coloring_file})
-    result = {"n": graph.n, "header": f"n={graph.n}", "report": tdc_report.to_dict()}
+    classes: list[dict] = []
+    listing = {
+        "n": graph.n,
+        "proper": tdc_report.proper,
+        "tdc": tdc_report.tdc,
+        "num_classes": len(coloring),
+        "classes": classes,
+        "uncovered": list(tdc_report.uncovered),
+    }
+    result = {"n": graph.n, "header": f"n={graph.n}", "report": listing}
     report.claim(result, "proper", tdc_report.proper, "oracle")
     report.claim(result, "tdc", tdc_report.tdc, "oracle")
     report.claim(result, "num_classes", len(coloring), "oracle")
     if tdc_report.uncovered:
-        report.claim(result, "uncovered", list(tdc_report.uncovered), "oracle")
-    for rec in tdc_report.classes:
-        cn = list(rec.common_neighborhood)
-        report.claim(result, f"CN{list(rec.vertices)}", cn, "oracle", size=rec.size)
+        report.claim(result, "uncovered", listing["uncovered"], "oracle")
+    for members in coloring.as_lists():
+        cn = sorted(common_neighborhood(graph, members))
+        classes.append(
+            dict(vertices=members, size=len(members), common_neighborhood=cn, cn_size=len(cn))
+        )
+        report.claim(result, f"CN{members}", cn, "oracle", size=len(members))
+    listing["cn_size_sum"] = sum(cls["cn_size"] for cls in classes)
     report.results.append(result)
     return report
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from typing import Collection, Iterable, Sequence
 
@@ -107,72 +106,18 @@ def _count_classes(n: int, color: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class ClassRecord:
-    """Per-class facts used in reports: members, size, common neighborhood."""
-
-    vertices: tuple[int, ...]
-    size: int
-    common_neighborhood: tuple[int, ...]
-    cn_size: int
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "size": self.size,
-            "common_neighborhood": list(self.common_neighborhood),
-            "cn_size": self.cn_size,
-        }
-
-
-@dataclass(frozen=True)
 class ColoringReport:
     """Verdict of the total dominator test on one coloring.
 
     tdc holds exactly when the coloring is proper and `uncovered` is empty;
     `uncovered` lists, in sorted order, the vertices that totally dominate
-    no class.  The per-class records in `classes` are built from `graph`
-    and `coloring` on first read and then kept, so a caller that wants only
-    the verdict never pays for them.
+    no class.
     """
 
     n: int
     proper: bool
     uncovered: tuple[int, ...]
     tdc: bool
-    graph: CirculantGraph = field(repr=False)
-    coloring: Coloring = field(repr=False)
-
-    @cached_property
-    def classes(self) -> tuple[ClassRecord, ...]:
-        n, offsets = self.n, self.graph.offsets
-        offset_set = frozenset(offsets)
-        records = []
-        for members in self.coloring.as_lists():
-            cn = sorted(_common_neighbors(n, offsets, offset_set, members))
-            records.append(
-                ClassRecord(
-                    vertices=tuple(members),
-                    size=len(members),
-                    common_neighborhood=tuple(cn),
-                    cn_size=len(cn),
-                )
-            )
-        return tuple(records)
-
-    @property
-    def cn_size_sum(self) -> int:
-        return sum(rec.cn_size for rec in self.classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "proper": self.proper,
-            "tdc": self.tdc,
-            "num_classes": len(self.classes),
-            "classes": [rec.to_dict() for rec in self.classes],
-            "uncovered": list(self.uncovered),
-            "cn_size_sum": self.cn_size_sum,
-        }
 
 
 def _require_same_order(g: CirculantGraph, coloring: Coloring) -> None:
@@ -242,8 +187,7 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
     the flags are OR-ed over the offsets as integers.  A class larger than
     the degree covers nothing, so only classes of size 2..degree have their
     members collected and their common neighbors cleared.  No class set is
-    built and none is recorded: O(n * degree) time and O(n) memory.  The
-    report's per-class records are built only when first read.
+    built and none is recorded: O(n * degree) time and O(n) memory.
     """
     _require_same_order(g, coloring)
     proper = is_proper(g, coloring)
@@ -265,11 +209,4 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
             for u in _common_neighbors(n, offsets, offset_set, cls):
                 missing[u - 1] = 0
     uncovered = tuple(compress(range(1, n + 1), missing))
-    return ColoringReport(
-        n=n,
-        proper=proper,
-        uncovered=uncovered,
-        tdc=proper and not uncovered,
-        graph=g,
-        coloring=coloring,
-    )
+    return ColoringReport(n=n, proper=proper, uncovered=uncovered, tdc=proper and not uncovered)

@@ -4,11 +4,11 @@ Vertices are labelled 1..n to match the usual convention for these graphs.
 A graph is its vertex count and its connection set; every neighborhood is
 a rotation of the same offsets, so N(v) = {v + o mod n : o in offsets}.
 The certificate checks (`is_tdc`, `verify_isomorphism`) read only the
-offsets and run in O(n * degree); `is_tdc` decides without building any
-per-class record, and builds its records only if a caller reads them.  The
-exhaustive searches want neighborhoods as bitmasks (bit v-1 stands for
-vertex v): `masks` builds them on first use and keeps them, about n^2/16
-bytes, so only the graphs that are searched ever pay for them.
+offsets and run in O(n * degree); `is_tdc` returns its verdict without
+building any per-class set.  The exhaustive searches want neighborhoods as
+bitmasks (bit v-1 stands for vertex v): `masks` builds them on first use
+and keeps them, about n^2/16 bytes, so only the graphs that are searched
+ever pay for them.
 """
 
 from __future__ import annotations
@@ -65,18 +65,9 @@ class CirculantGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.masks[v - 1]
-
     def neighbors(self, v: int) -> frozenset[int]:
         n = self.n
         return frozenset([(v - 1 + o) % n + 1 for o in self.offsets])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (j - i) % self.n in self.offsets
-
-    def edge_count(self) -> int:
-        return self.n * self.degree // 2
 
     @property
     def full_mask(self) -> int:

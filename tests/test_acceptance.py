@@ -193,7 +193,7 @@ def _large_class_colorings(n, seed_count=50):
             masks = [sum(1 << (v - 1) for v in big)]
             classes = [set(big)]
             for v in rest:
-                nv = g.neighbor_mask(v)
+                nv = g.masks[v - 1]
                 placed = False
                 for i in range(1, len(masks)):
                     if not masks[i] & nv:

@@ -1,6 +1,6 @@
 """Golden CLI output: stdout and exit code of a fixed list of commands.
 
-The expected stdout of each case is tests/golden/<name>.out; the two
+The expected stdout of each case is tests/golden/<name>.out; the three
 coloring files that verify-coloring reads are next to them.  The files pin
 the construction's classes, their order and every line the commands print,
 so an edit to them is a change of output.  JSON output is compared as parsed
@@ -39,6 +39,12 @@ CASES = [
     ),
     ("verify-coloring-text", ["verify-coloring", "13", "coloring-13.txt"], 0),
     ("verify-coloring-json", ["verify-coloring", "9", "coloring-9.json", "--json"], 0),
+    ("verify-coloring-13-json", ["verify-coloring", "13", "coloring-13.txt", "--json"], 0),
+    (
+        "verify-coloring-12-bipartition-json",
+        ["verify-coloring", "12", "coloring-12.json", "--json"],
+        0,
+    ),
 ]
 
 

@@ -279,9 +279,10 @@ class TestCommonNeighborhood:
 class TestIsTdc:
     def test_c8_bipartition(self):
         g = standard_circulant(8)
-        rep = is_tdc(g, Coloring.from_classes(8, [[1, 3, 5, 7], [2, 4, 6, 8]]))
+        c = Coloring.from_classes(8, [[1, 3, 5, 7], [2, 4, 6, 8]])
+        rep = is_tdc(g, c)
         assert rep.tdc and rep.proper
-        assert [r.cn_size for r in rep.classes] == [4, 4]
+        assert [len(common_neighborhood(g, cls)) for cls in c.as_lists()] == [4, 4]
         assert rep.uncovered == ()
 
     def test_c9_table(self):
@@ -305,9 +306,9 @@ class TestIsTdc:
     def test_cn_sum_at_least_n_when_tdc(self, n):
         g = standard_circulant(n)
         for seed in range(60):
-            rep = is_tdc(g, random_greedy_coloring(g, seed))
-            if rep.tdc:
-                assert rep.cn_size_sum >= n
+            c = random_greedy_coloring(g, seed)
+            if is_tdc(g, c).tdc:
+                assert sum(len(common_neighborhood(g, cls)) for cls in c.as_lists()) >= n
 
     @settings(max_examples=150, deadline=None)
     @given(case=circulant_colorings())
@@ -320,14 +321,10 @@ class TestIsTdc:
         assert rep.proper == oracles.is_proper_classes(adj, classes)
         ref_cn = [oracles.common_neighbors(adj, cls) for cls in classes]
         covered = set().union(*ref_cn)
-        # the verdict comes from the offsets alone, before any record exists
         assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
         assert rep.tdc == oracles.is_tdc_classes(n, adj, classes)
-        assert "classes" not in vars(rep)
-        assert len(rep.classes) == len(classes)
-        for rec, cls, cn in zip(rep.classes, classes, ref_cn):
-            assert rec.vertices == tuple(cls) and rec.size == len(cls)
-            assert rec.common_neighborhood == tuple(sorted(cn)) and rec.cn_size == len(cn)
+        for cls, cn in zip(classes, ref_cn):
+            assert common_neighborhood(g, cls) == cn
 
     @settings(max_examples=200, deadline=None)
     @given(case=mixed_size_colorings())
@@ -345,23 +342,12 @@ class TestIsTdc:
         assert rep.proper == oracles.is_proper_classes(adj, classes)
         assert rep.uncovered == tuple(sorted(set(range(1, n + 1)) - covered))
         assert rep.tdc == oracles.is_tdc_classes(n, adj, classes)
-        # the verdict is read from the color array: no class record was built
-        assert "classes" not in vars(rep)
 
     def test_leaves_masks_unbuilt(self):
         g = standard_circulant(10**5)
         report = is_tdc(g, construct_tdc(10**5).coloring)
         assert report.tdc
         assert "masks" not in vars(g)
-        assert "classes" not in vars(report)
-
-    def test_equality_ignores_built_records(self):
-        g = standard_circulant(20)
-        c = construct_tdc(20).coloring
-        read, unread = is_tdc(g, c), is_tdc(g, c)
-        assert read.cn_size_sum >= 20 and "classes" in vars(read)
-        assert read == unread and hash(read) == hash(unread)
-        assert read.to_dict() == unread.to_dict()
 
 
 class TestCapacityCheck:

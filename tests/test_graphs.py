@@ -33,8 +33,7 @@ class TestBuildCirculant:
 
     def test_c5_12_is_complete(self):
         g = build_circulant(5, [1, 2])
-        assert g.edge_count() == 10
-        assert all(g.has_edge(i, j) for i, j in combinations(range(1, 6), 2))
+        assert all(g.masks[i - 1] >> (j - 1) & 1 for i, j in combinations(range(1, 6), 2))
 
     def test_generator_normalization(self):
         # distance 3 and distance n-3 give the same graph
@@ -89,11 +88,9 @@ class TestBuildCirculant:
         ref = oracles.neighbors(n, distances)
         assert "masks" not in vars(g)
         assert g.degree == len(ref[1])
-        assert g.edge_count() == sum(len(nb) for nb in ref.values()) // 2
         for v in g.vertices():
             assert {u for u in g.vertices() if g.masks[v - 1] >> (u - 1) & 1} == ref[v]
             assert g.neighbors(v) == ref[v]
-            assert [g.has_edge(v, u) for u in g.vertices()] == [u in ref[v] for u in g.vertices()]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=3, max_value=60))
@@ -111,7 +108,7 @@ class TestStandardFamily:
         assert standard_connection_set(5) == (1, 2)
         assert standard_connection_set(6) == (1, 3)
         assert standard_circulant(4).degree == 2
-        assert standard_circulant(5).edge_count() == 10
+        assert standard_circulant(5).degree == 4
 
 
 class TestReduction:
@@ -166,7 +163,7 @@ class TestVerifyIsomorphism:
         g1 = build_circulant(8, [1, 3])
         g2 = build_circulant(8, [1, 2])
         # edge {1,4} exists in the first graph, not the second
-        assert g1.has_edge(1, 4) and not g2.has_edge(1, 4)
+        assert 4 in g1.neighbors(1) and 4 not in g2.neighbors(1)
         assert not verify_isomorphism(g1, g2, {v: v for v in range(1, 9)})
 
     def test_rejects_mismatched_orders(self):

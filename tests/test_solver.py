@@ -8,6 +8,7 @@ from circulant_tdc import (
     OracleLimitError,
     SearchBudget,
     build_circulant,
+    common_neighborhood,
     formula_tdc,
     is_tdc,
     standard_circulant,
@@ -177,11 +178,12 @@ class TestExactValue:
         # the one point in the solvable range where the closed form overshoots:
         # a 7-class coloring exists (its class common neighborhoods tile the
         # vertex set exactly) while the case formula gives 8
-        out = tdc_number_exact(standard_circulant(18))
+        g = standard_circulant(18)
+        out = tdc_number_exact(g)
         assert out.chi_dt == 7
         assert formula_tdc(18) == 8
-        report = is_tdc(standard_circulant(18), out.witness)
-        assert report.tdc and report.cn_size_sum == 18
+        assert is_tdc(g, out.witness).tdc
+        assert sum(len(common_neighborhood(g, cls)) for cls in out.witness.as_lists()) == 18
         adj = oracles.neighbors(18, {1, 3})
         assert oracles.is_tdc_classes(18, adj, out.witness.as_lists())
 
