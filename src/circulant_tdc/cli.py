@@ -5,6 +5,7 @@ table.  A command returns a RunReport and prints nothing; main alone writes
 it: human text by default, --csv rows (sweep, table), or with --json the one
 envelope {version, command, inputs, results, summary} of every command, with
 results in increasing n (table's summary adds rows and offset_inconsistencies).
+The envelope is one compact line; `python -m json.tool` indents it for reading.
 Every numeric claim carries a source tag: "formula", "construction",
 "oracle" or "exact-search".  An input error prints one "error:" line on
 stderr and nothing on stdout.
@@ -24,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, ColoringError, common_neighborhood, is_tdc
+from .coloring import Coloring, ColoringError, _common_neighbors, is_tdc
 from .constructions import verify_construction
 from .formulas import (
     TABLE_COLUMNS,
@@ -117,7 +118,8 @@ class RunReport:
                 **self.summary,
             }
             envelope = {"version": SCHEMA_VERSION, "command": self.command, "inputs": self.inputs}
-            return [json.dumps({**envelope, "results": self.results, "summary": summary}, indent=2)]
+            # one line: json.dumps without indent runs in the C encoder
+            return [json.dumps({**envelope, "results": self.results, "summary": summary})]
         if self.text:
             return self.text
         lines = []
@@ -340,7 +342,9 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
     """Parse a coloring file: JSON array of arrays, or one class per line.
 
     A label repeated within one class is an error here, since a class is a
-    set and would silently drop the repeat.
+    set and would silently drop the repeat.  Each class, or text line, is
+    checked with builtins first; only one that fails is walked label by
+    label, to name its first fault.
     """
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -352,6 +356,8 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
             raise ColoringError("expected a JSON array of arrays of vertex labels")
         for idx, cls in enumerate(data, start=1):
             # bool is an int subclass, but true is not a vertex label
+            if all(type(v) is int for v in cls) and len(set(cls)) == len(cls):
+                continue
             bad = [v for v in cls if not isinstance(v, int) or isinstance(v, bool)]
             if bad:
                 raise ColoringError(f"class {idx}: label {json.dumps(bad[0])} is not an integer")
@@ -363,10 +369,15 @@ def parse_coloring_file(text: str, n: int) -> Coloring:
         if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            labels = [integer(tok) for tok in tokens]
+            # ASCII digits alone spell -?[0-9]+ without the sign
+            if line.isascii() and all(map(str.isdigit, tokens)):
+                labels = list(map(int, tokens))
+            else:
+                labels = [integer(tok) for tok in tokens]
         except ValueError as exc:
             raise ColoringError(f"line {lineno}: label {exc}") from None
-        _reject_repeats(labels, f"line {lineno}")
+        if len(set(labels)) != len(labels):
+            _reject_repeats(labels, f"line {lineno}")
         classes.append(labels)
     return Coloring.from_classes(n, classes)
 
@@ -396,8 +407,11 @@ def _cmd_verify_coloring(args) -> RunReport:
     report.claim(result, "num_classes", len(coloring), "oracle")
     if tdc_report.uncovered:
         report.claim(result, "uncovered", listing["uncovered"], "oracle")
+    # the classes of as_lists() are ascending and in 1..n, so none is checked again
+    n, offsets = graph.n, graph.offsets
+    offset_set = frozenset(offsets)
     for members in coloring.as_lists():
-        cn = sorted(common_neighborhood(graph, members))
+        cn = sorted(_common_neighbors(n, offsets, offset_set, members))
         classes.append(
             dict(vertices=members, size=len(members), common_neighborhood=cn, cn_size=len(cn))
         )
@@ -559,8 +573,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         # construction, coloring, limit and hypothesis errors, and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    for line in report.render(_format(args), started):
-        print(line, file=out)
+    out.write("\n".join(report.render(_format(args), started)) + "\n")
     return report.exit_code
 
 

@@ -271,24 +271,40 @@ class TestVerifyColoring:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: give either a b or --set, not both"]
 
+    # A class that fails the builtin checks is walked label by label, so a
+    # later class, and a label that equals a member, get the same message.
     @pytest.mark.parametrize(
-        "text,label",
+        "text,where",
         [
-            ('[["a"],[2]]', '"a"'),
-            ("[[1.0,3,5,7],[2,4,6,8]]", "1.0"),
-            ("[[true,3,5,7],[2,4,6,8]]", "true"),
+            ('[["a"],[2]]', 'class 1: label "a"'),
+            ("[[1.0,3,5,7],[2,4,6,8]]", "class 1: label 1.0"),
+            ("[[true,3,5,7],[2,4,6,8]]", "class 1: label true"),
+            ('[[1,3,5,7],[2,4,"6",8]]', 'class 2: label "6"'),
+            ("[[1,3,5,7],[2,4,true,8]]", "class 2: label true"),
+            ("[[1,3,5,7],[2,4,6,8,8.0]]", "class 2: label 8.0"),
         ],
-        ids=["string", "float", "bool"],
+        ids=["string", "float", "bool", "digit-string-later", "bool-later", "float-equal-to-member"],
     )
-    def test_rejects_non_integer_labels(self, tmp_path, capsys, text, label):
+    def test_rejects_non_integer_labels(self, tmp_path, capsys, text, where):
         f = tmp_path / "c.json"
         f.write_text(text)
         code, out = run_cli("verify-coloring", "8", str(f))
         assert (code, out) == (1, "")
-        assert capsys.readouterr().err == f"error: {f}: class 1: label {label} is not an integer\n"
+        assert capsys.readouterr().err == f"error: {f}: {where} is not an integer\n"
 
     @pytest.mark.parametrize(
-        "label", ["+8", "0_8", "٨"], ids=["plus-sign", "underscore", "arabic-indic-digit"]
+        "label",
+        ["+8", "0_8", "٨", "²", "-", "--8", "8-", "8.0"],
+        ids=[
+            "plus-sign",
+            "underscore",
+            "arabic-indic-digit",
+            "superscript-digit",
+            "minus-alone",
+            "double-minus",
+            "trailing-minus",
+            "decimal-point",
+        ],
     )
     def test_text_labels_are_ascii_digits(self, tmp_path, capsys, label):
         # int() reads each of these labels as 8
@@ -303,8 +319,10 @@ class TestVerifyColoring:
         [
             ("c.txt", "1 1 3 5\n2 4 6\n", "line 1: label 1"),
             ("c.json", "[[1,3,5,5],[2,4,6]]", "class 1: label 5"),
+            ("c.txt", "1 3 5\n2 4 6 4\n", "line 2: label 4"),
+            ("c.json", "[[1,3,5],[2,4,6,4]]", "class 2: label 4"),
         ],
-        ids=["text", "json"],
+        ids=["text", "json", "text-later", "json-later"],
     )
     def test_rejects_label_repeated_within_a_class(self, tmp_path, capsys, name, text, where):
         # a class is a set, so the repeat would otherwise vanish unreported
