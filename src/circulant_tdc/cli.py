@@ -45,13 +45,15 @@ from .graphs import (
     standard_circulant,
     verify_isomorphism,
 )
-from .invariants import (
+from .solver import (
+    BudgetExceededError,
     OracleLimitError,
+    SearchBudget,
     independence_number_oracle,
     open_packing_number_oracle,
+    tdc_number_exact,
     total_domination_number_oracle,
 )
-from .solver import BudgetExceededError, SearchBudget, tdc_number_exact
 
 SCHEMA_VERSION = "1"
 

@@ -28,7 +28,7 @@ from itertools import chain
 
 from .coloring import Coloring, ColoringReport, is_tdc
 from .formulas import formula_tdc
-from .graphs import ReductionResult, build_circulant, standard_circulant
+from .graphs import ReductionResult, build_circulant, circular_distance, standard_circulant
 
 
 _SMALL_TABLE: dict[int, tuple[tuple[int, ...], ...]] = {
@@ -154,12 +154,18 @@ def verify_construction(n: int, reduction: ReductionResult | None = None) -> Con
     map, color'(x) = color(a^{-1}x), so each class S becomes
     {x : a^{-1}x in S}, a coloring of C_n(a,b), and the test runs there.
     A failure (not a TDC, or wrong class count) is reported in the verdict,
-    never silently dropped.
+    never silently dropped.  Raises ValueError for a reduction of another n,
+    or one whose target is not C_n(1,3).
     """
     plan = construct_tdc(n)
     if reduction is None:
         coloring, graph = plan.coloring, standard_circulant(n)
     else:
+        if reduction.n != n or reduction.standard_c != circular_distance(3, 0, n):
+            raise ValueError(
+                f"the reduction of C_{reduction.n}({reduction.a},{reduction.b}) maps onto "
+                f"C_{reduction.n}(1,{reduction.standard_c}), not C_{n}(1,3)"
+            )
         color, vertex_map = plan.coloring.color, reduction.vertex_map
         coloring = Coloring.from_colors(n, [color[vertex_map[x] - 1] for x in range(1, n + 1)])
         graph = build_circulant(n, [reduction.a, reduction.b])

@@ -3,7 +3,7 @@ the independence, open packing and total domination numbers of the standard
 distance-{1,3} graph, the consistency relation tying the first to the last,
 and the plain-tuple rows of the `table` command, whose columns TABLE_COLUMNS
 names.  The exhaustive oracles these are checked against live in
-invariants.py and solver.py.
+solver.py.
 
 All arithmetic is exact integer arithmetic; ceil(n/8) is (n + 7) // 8.
 """

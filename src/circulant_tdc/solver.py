@@ -1,48 +1,79 @@
-"""The one coloring search, and the exact total dominator chromatic number.
+"""Every exhaustive search: the alpha, rho, gamma_t and chi oracles, and exact chi_dt.
 
-_search backtracks over vertices 1..n with colors assigned in first-use
-order, and checks properness incrementally against per-class member masks.
+The paper bounds chi_dt between max(chi, gamma_t) and gamma_t + chi, so the
+exact search needs the gamma_t and chi searches.  Each search refuses a
+graph of more than DEFAULT_ORACLE_LIMIT vertices, or more than `limit` when
+the caller passes one, with OracleLimitError.  An oracle returns only what
+it searched: the closed forms live in formulas.py, and the CLI decides which
+of them applies to a graph and compares the two.
+
+There are three backtracking searches, each a plain recursive function:
+
+* _first_independent_set, for independent sets and open packings.  Two
+  vertices of C_n(S) share a neighbour exactly when they differ by o - p for
+  offsets o != p, so the open packings are the independent sets of C_n(D),
+  D = {o - p} (C_n(2,4,6) for C_n(1,3)).  A greedy clique cover of the
+  available vertices prunes it (Balas and Yu, SIAM J. Comput. 15, 1986;
+  Tomita and Seki, DMTCS 2003): an independent set holds at most one vertex
+  of each clique.  The cover of all vertices bounds the maximum, and sizes
+  are tried downward from it.  The census of all maximum packings behind
+  the paper's packing-shape claim is a test reference, in tests/oracles.py.
+* _first_total_dominating_set, for total domination.  Sizes are tried
+  upward from max(2, ceil(n / degree)).  A branch is cut when the members
+  still to add, `degree` vertices each, cannot cover the rest, and by
+  disjoint needs.
+* _search, the coloring search, below.
+
+Every prune is sound: it cuts only subtrees that hold no solution.  So each
+search meets first the hit that plain backtracking in the same order meets
+(the lowest available vertex is included before it is excluded, and colors
+are assigned in first-use order), and as each scan stops at the first size
+or class count with a hit, a set oracle's witness is the lex-first set of
+the optimal size.
+
+Disjoint needs is an open-packing bound (Henning and Slater, "Open packing
+in graphs", 1999).  Walk the vertices still to cover in increasing order,
+each with its options: what a new member, or a new class, could still cover
+it from.  A vertex whose options miss those of every vertex counted before
+it is counted.  Counted vertices need pairwise distinct new members or
+classes, so more of them than there are left is fatal.  Each search inlines
+its own copy of the walk behind a cheaper count test: on the exact benchmark
+(Python 3.11, 2-core Xeon), one shared helper for the walk made wall time
+4-6% worse, and dropping the coloring search's O(1) slack test cost about 9%
+CPU per pass.
+
+The coloring search backtracks over vertices 1..n with colors assigned in
+first-use order, and checks properness against per-class member masks.
 Each vertex v comes with a demand set, what a class holding v can still
 cover; a class covers the intersection of its members' demand sets, and
 every vertex must be covered.  tdc_feasible asks for demand[v] = N(v), the
 common neighborhoods of a total dominator coloring.  chromatic_number_oracle
-asks for nothing: demand[v] is every vertex, so it is plain proper-coloring
-backtracking.  Three sound forward checks prune the tree:
+asks for nothing: every demand set is full, so it is plain proper-coloring
+backtracking.  Three forward checks prune the tree:
 
 * coverage: a class's common neighborhood only shrinks as the class grows,
-  so a vertex not in the union of the current common neighborhoods can only
-  be rescued by a class that is still empty, and only if an uncolored vertex
-  remains inside its neighborhood;
-* counting: for the same reason, the vertices outside that union number at
-  most |demand| (what one class can cover: the degree, for a total
-  dominator coloring) times the number of classes still empty;
-* disjoint needs (an open-packing bound, as in the total domination
-  oracle): an empty class that covers such a vertex x has all its members
-  in demand[x] (demand is symmetric: u is in demand[x] exactly when x is
-  in demand[u]) and among the uncolored vertices, its options.  Walking
-  those vertices in increasing order, one is counted when its options miss
-  the options of every vertex counted before it; counted vertices need
-  pairwise distinct empty classes, so more of them than the classes still
-  empty is fatal.
+  so a vertex outside the union of the common neighborhoods can only be
+  covered by a class still empty, from an uncolored vertex;
+* counting: so those vertices number at most |demand| (the degree, for a
+  total dominator coloring) times the number of classes still empty;
+* disjoint needs, against the classes still empty: the options of such a
+  vertex x are demand[x] among the uncolored vertices (demand is symmetric:
+  u is in demand[x] exactly when x is in demand[u]).
 
 The first two are kept incrementally, so a child node costs O(1) unless its
 class loses common neighbors: the search carries the union of the common
 neighborhoods and the slack (their sizes summed, plus |demand| per empty
 class, minus n) down the recursion and updates them only for the class that
 changed.  A union is never larger than the sum, so a negative slack fails
-the counting test; this O(1) test runs first, and the union is rebuilt, over
-the other classes, only for a child that passes it and whose class lost
-vertices.  The walk runs last, and only for a child with more vertices
-outside the union than empty classes.
+the counting test.  That test runs first; the union is rebuilt only for a
+child that passes it and whose class lost vertices; the walk runs last, and
+only when more vertices lie outside the union than there are empty classes.
+The checks need only that the demand sets have one size and are symmetric,
+as neighborhoods in a regular graph and the full sets are.
 
-The checks assume only that the demand sets all have one size and that
-demand is symmetric, as neighborhoods in a regular graph and the full sets
-are, so verdicts are search-exact.  They cut only subtrees that hold no
-solution, so the first coloring found is the one that plain backtracking in
-the same order finds.  tdc_number_exact scans class counts upward from
-max(chromatic number, total domination number) to a proven upper bound;
-minimality never relies on monotonicity of feasibility because every
-smaller count is exhausted first.
+tdc_number_exact scans class counts upward from max(chi, gamma_t) to a
+proven upper bound; minimality never relies on monotonicity of feasibility
+because every smaller count is exhausted first.
 """
 
 from __future__ import annotations
@@ -55,12 +86,167 @@ from dataclasses import dataclass, field
 
 from .coloring import Coloring, is_tdc
 from .constructions import verify_construction
-from .graphs import CirculantGraph, is_standard_13, mask_to_vertices
-from .invariants import InvariantValue, _check_limit, total_domination_number_oracle
+from .graphs import CirculantGraph, circular_distance, is_standard_13, mask_to_vertices
+
+DEFAULT_ORACLE_LIMIT = 24
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
+
+
+class OracleLimitError(ValueError):
+    """Raised when an exhaustive search is asked to run above its vertex limit."""
+
+    def __init__(self, n: int, limit: int):
+        self.n = n
+        self.limit = limit
+        super().__init__(
+            f"refusing exhaustive search on n={n} vertices (limit {limit}; "
+            "raise via limit= or --limit)"
+        )
+
+
+def _check_limit(n: int, limit: int | None) -> None:
+    eff = DEFAULT_ORACLE_LIMIT if limit is None else limit
+    if n > eff:
+        raise OracleLimitError(n, eff)
+
+
+@dataclass(frozen=True)
+class InvariantValue:
+    """An invariant as an exhaustive search found it, with its witness."""
+
+    oracle: int
+    witness: tuple[int, ...] | Coloring
+
+
+def _clique_cover_tops(masks: list[int], avail: int) -> list[int]:
+    """Top vertices of a greedy partition of `avail` into cliques, decreasing.
+
+    Each clique starts at the highest vertex left and keeps adding the
+    highest vertex adjacent to every member so far.  An independent set has
+    at most one vertex per clique, and a clique whose top is below v has no
+    vertex >= v, so the number of tops >= v bounds the independent sets
+    within the vertices of `avail` from v up.  `masks` must be symmetric.
+    """
+    tops = []
+    while avail:
+        top = avail.bit_length() - 1
+        tops.append(top)
+        avail ^= 1 << top
+        candidates = avail & masks[top]
+        while candidates:
+            v = candidates.bit_length() - 1
+            avail ^= 1 << v
+            candidates &= masks[v]
+    return tops
+
+
+def _first_independent_set(
+    masks: list[int], avail: int, need: int, chosen: int = 0
+) -> int | None:
+    """`chosen` plus the lex-first independent set of `need` vertices from `avail`, or None."""
+    if need == 0:
+        return chosen
+    tops = _clique_cover_tops(masks, avail)
+    while avail:
+        low = avail & -avail
+        v = low.bit_length() - 1
+        while tops[-1] < v:
+            tops.pop()
+        if len(tops) < need:
+            return None
+        avail ^= low
+        found = _first_independent_set(masks, avail & ~masks[v], need - 1, chosen | low)
+        if found is not None:
+            return found
+    return None
+
+
+def _packing_graph(g: CirculantGraph) -> CirculantGraph:
+    """The circulant whose independent sets are the open packings of g.
+
+    Vertices u and v share a neighbour exactly when v - u = o - p for two
+    offsets o != p of g, so this is C_n(D) with D the circular distances of
+    those differences; C_n(1,3) gives C_n(2,4,6).  It reads only the offsets.
+    """
+    n = g.n
+    diffs = {(o - p) % n for o in g.offsets for p in g.offsets} - {0}
+    return CirculantGraph(n, tuple(sorted({circular_distance(d, 0, n) for d in diffs})))
+
+
+def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
+    """Maximum independent set size by exhaustive search, with lex-least witness."""
+    _check_limit(g.n, limit)
+    masks, full = list(g.masks), g.full_mask
+    size = len(_clique_cover_tops(masks, full))
+    while (witness := _first_independent_set(masks, full, size)) is None:
+        size -= 1
+    return InvariantValue(size, mask_to_vertices(witness))
+
+
+def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
+    """Maximum open packing size by exhaustive search, with lex-least witness."""
+    return independence_number_oracle(_packing_graph(g), limit)
+
+
+def _first_total_dominating_set(
+    masks: list[int], full: int, deg: int, avail: int, need: int, covered: int = 0, chosen: int = 0
+) -> int | None:
+    """`chosen` plus the lex-first `need` vertices from `avail` that cover the rest, or None.
+
+    `covered` is what `chosen` dominates, and `avail` the vertices above its
+    last member.  A vertex's options are its neighbours within `avail`; one
+    with none is fatal, and the disjoint-needs walk counts against `need`.
+    """
+    if need == 0:
+        return chosen if covered == full else None
+    uncovered = full & ~covered
+    if uncovered.bit_count() > need * deg:
+        return None
+    union = 0
+    counted = 0
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        options = masks[low.bit_length() - 1] & avail
+        if not options:
+            return None
+        if not options & union:
+            union |= options
+            counted += 1
+            if counted > need:
+                return None
+    # the first member is one of the lowest |avail| - need + 1 vertices
+    for _ in range(avail.bit_count() - need + 1):
+        low = avail & -avail
+        avail ^= low
+        found = _first_total_dominating_set(
+            masks, full, deg, avail, need - 1, covered | masks[low.bit_length() - 1], chosen | low
+        )
+        if found is not None:
+            return found
+    return None
+
+
+def total_domination_number_oracle(
+    g: CirculantGraph, limit: int | None = None
+) -> InvariantValue:
+    """Minimum total dominating set size by increasing-cardinality search.
+
+    A single vertex never dominates itself and each vertex covers at most
+    `degree` others; the scan ends by size n, as every vertex has a neighbour.
+    Raises ValueError on an edgeless graph, whose vertices have none.
+    """
+    _check_limit(g.n, limit)
+    if not g.degree:
+        raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
+    masks, full, deg = list(g.masks), g.full_mask, g.degree
+    size = max(2, -(-g.n // deg))
+    while (witness := _first_total_dominating_set(masks, full, deg, full, size)) is None:
+        size += 1
+    return InvariantValue(size, mask_to_vertices(witness))
 
 
 @dataclass(frozen=True)
@@ -68,16 +254,16 @@ class SearchBudget:
     """Per-level search budget; whichever of nodes or seconds runs out first.
 
     The deadline is polled every 4096 nodes, so a level may overrun it by up
-    to that many nodes.  Rejects max_nodes < 1 and a max_seconds that is NaN
-    or not positive.
+    to that many nodes.  Rejects a max_nodes that is not an int (a bool
+    included) or is below 1, and a max_seconds that is NaN or not positive.
     """
 
     max_nodes: int = 10**8
     max_seconds: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError(f"node budget must be at least 1, got {self.max_nodes}")
+        if type(self.max_nodes) is not int or self.max_nodes < 1:
+            raise ValueError(f"node budget must be an integer of at least 1, got {self.max_nodes!r}")
         if not self.max_seconds > 0:
             raise ValueError(f"time budget must be positive seconds, got {self.max_seconds}")
 
@@ -134,13 +320,8 @@ def _search(
 ) -> FeasibilityOutcome:
     """The coloring search: proper colorings in which every vertex is covered.
 
-    A class covers the vertices in the intersection of demand[v] over its
-    members v, and every vertex must be covered by some class.  With
-    demand[v] = N(v) that is a total dominator coloring.  With every demand
-    set full, every class covers everything, so the coverage, counting and
-    disjoint-needs prunes never fire and the search is plain first-use
-    proper-coloring backtracking.  All demand sets must have the same size,
-    and demand must be symmetric: u in demand[v] exactly when v in demand[u].
+    A class covers the intersection of demand[v] over its members v.  All
+    demand sets must have one size, and demand must be symmetric.
     """
     n = g.n
     full = g.full_mask
@@ -214,10 +395,8 @@ def _search(
                 continue
             free = num_colors - now_used
             if uncovered > free:
-                # disjoint needs: a counted vertex x's options, demand[x] &
-                # rest, miss those of every vertex counted before it, so each
-                # one needs an empty class of its own; union lies in rest, so
-                # demand[x] meets it exactly when the options do
+                # disjoint needs: x's options are demand[x] & rest; union lies
+                # in rest, so demand[x] meets it exactly when the options do
                 needs = full & ~now_cover
                 union = counted = 0
                 while needs:
@@ -308,11 +487,10 @@ def tdc_number_exact(
     classes plus a proper coloring of the rest is a TDC, since every vertex
     dominates the singleton of a neighbour in the set.  Raises
     BudgetExceededError with the bracket found so far if any level exhausts
-    its budget, and OracleLimitError above the vertex limit.
+    its budget, OracleLimitError above the vertex limit, and ValueError, from
+    the total domination oracle, on an edgeless graph.
     """
     _check_limit(g.n, limit)
-    if not g.degree:
-        raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     budget = budget or SearchBudget()
     started = time.monotonic()
 

@@ -181,6 +181,15 @@ class TestVerifyConstruction:
         # the certificate is linear in n; an n^2-bit graph would need ~600 MB here
         assert verify_construction(n).ok
 
+    @pytest.mark.parametrize(
+        "reduction",
+        [reduce_to_standard(11, 2, 6), reduce_to_standard(13, 1, 4)],
+        ids=["other-n", "not-onto-c13"],
+    )
+    def test_rejects_a_reduction_not_onto_the_standard_graph(self, reduction):
+        with pytest.raises(ValueError, match=r"not C_13\(1,3\)"):
+            verify_construction(13, reduction)
+
     def test_large_n_through_a_reduction(self):
         n = 100003
         verdict = verify_construction(n, reduce_to_standard(n, 5, 15))

@@ -17,7 +17,7 @@ from circulant_tdc import (
     total_domination_number_formula,
     total_domination_number_oracle,
 )
-from circulant_tdc.invariants import _clique_cover_tops, _packing_graph
+from circulant_tdc.solver import _clique_cover_tops, _packing_graph
 
 
 # C_n(1,3) cases are named by n alone, other connection sets "n-gens"; an n

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from circulant_tdc import (
     BudgetExceededError,
+    CirculantGraph,
     OracleLimitError,
     SearchBudget,
     build_circulant,
@@ -16,8 +17,7 @@ from circulant_tdc import (
     tdc_number_exact,
 )
 from circulant_tdc.graphs import is_standard_13
-from circulant_tdc.invariants import total_domination_number_oracle
-from circulant_tdc.solver import chromatic_number_oracle
+from circulant_tdc.solver import chromatic_number_oracle, total_domination_number_oracle
 
 
 # every connection set of 1-3 distances on up to 9 vertices, and C_n(1,3) up
@@ -71,8 +71,9 @@ class TestFeasibility:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("max_nodes", 0), ("max_nodes", -5), ("max_seconds", float("nan")),
-         ("max_seconds", 0.0), ("max_seconds", -1.0)],
+        [("max_nodes", 0), ("max_nodes", -5), ("max_nodes", 100.5), ("max_nodes", 100.0),
+         ("max_nodes", True), ("max_seconds", float("nan")), ("max_seconds", 0.0),
+         ("max_seconds", -1.0)],
     )
     def test_rejects_bad_budget(self, field, value):
         with pytest.raises(ValueError, match="budget"):
@@ -224,6 +225,11 @@ class TestExactValue:
     def test_limit_guard(self):
         with pytest.raises(OracleLimitError, match="limit="):
             tdc_number_exact(standard_circulant(25))
+
+    @pytest.mark.parametrize("search", [tdc_number_exact, total_domination_number_oracle])
+    def test_edgeless_graph_has_no_total_domination(self, search):
+        with pytest.raises(ValueError, match="isolated vertex"):
+            search(CirculantGraph(6, ()))
 
     def test_levels_recorded(self):
         out = tdc_number_exact(standard_circulant(12))
