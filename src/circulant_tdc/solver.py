@@ -15,21 +15,43 @@ There are three backtracking searches, each a plain recursive function:
   D = {o - p} (C_n(2,4,6) for C_n(1,3)).  A greedy clique cover of the
   available vertices prunes it (Balas and Yu, SIAM J. Comput. 15, 1986;
   Tomita and Seki, DMTCS 2003): an independent set holds at most one vertex
-  of each clique.  The cover of all vertices bounds the maximum, and sizes
-  are tried downward from it.  The census of all maximum packings behind
-  the paper's packing-shape claim is a test reference, in tests/oracles.py.
+  of each clique.  Sizes are tried downward from the smaller of the cover
+  of all vertices and the window bound below.  The census of all maximum
+  packings behind the paper's packing-shape claim is a test reference, in
+  tests/oracles.py.
 * _first_total_dominating_set, for total domination.  Sizes are tried
-  upward from max(2, ceil(n / degree)).  A branch is cut when the members
-  still to add, `degree` vertices each, cannot cover the rest, and by
-  disjoint needs.
+  upward from the largest of 2, ceil(n / degree) and the window bound
+  below.  A branch is cut when the members still to add, `degree` vertices
+  each, cannot cover the rest, and by disjoint needs.
 * _search, the coloring search, below.
+
+The two set scans use, at their top level only, that a circulant is
+vertex-transitive: the rotation v -> v + 1 maps it onto itself.  An inner
+branch, with some vertices chosen, is not vertex-transitive, so the
+recursion does not use it.
+
+* Vertex 1 is fixed.  Some rotation of any independent or total dominating
+  set holds vertex 1, so a size has a set exactly when it has one through
+  vertex 1, and the lex-first set of the size holds vertex 1.  Each size is
+  searched with vertex 1 already in the set.
+* Window bounds, over the windows W = {1..w} with w at most n, 2 * (largest
+  distance) + 1 and 2 * degree + 1; an edgeless graph has none.  A vertex
+  lies in |X| of the n rotations of a vertex set X, so a set S meets them
+  in |S| * |X| vertices in all.  An independent set meets each rotation of
+  W in at most alpha(G[W]) vertices, so alpha <= floor(n * alpha(G[W]) /
+  |W|) (the no-homomorphism lemma of Albertson and Collins, 1985).  A total
+  dominating set meets each rotation of N(W), the union of the
+  neighbourhoods of W, in at least tau(W) vertices, where tau(W) is the
+  fewest vertices whose neighbourhoods cover W; so gamma_t >= ceil(n *
+  tau(W) / |N(W)|).  Both alpha(G[W]) and tau(W) grow by at most one per
+  added vertex, so each width costs one small search.
 
 Every prune is sound: it cuts only subtrees that hold no solution.  So each
 search meets first the hit that plain backtracking in the same order meets
 (the lowest available vertex is included before it is excluded, and colors
-are assigned in first-use order), and as each scan stops at the first size
-or class count with a hit, a set oracle's witness is the lex-first set of
-the optimal size.
+are assigned in first-use order), and as each scan starts at a sound bound
+and stops at the first size or class count with a hit, a set oracle's
+witness is the lex-first set of the optimal size.
 
 Disjoint needs is an open-packing bound (Henning and Slater, "Open packing
 in graphs", 1999).  Walk the vertices still to cover in increasing order,
@@ -176,12 +198,42 @@ def _packing_graph(g: CirculantGraph) -> CirculantGraph:
     return CirculantGraph(n, tuple(sorted({circular_distance(d, 0, n) for d in diffs})))
 
 
+def _window_widths(g: CirculantGraph) -> range:
+    """Widths w of the windows {1..w} that the start bounds read; none if g is edgeless.
+
+    The degree cap keeps the windows of a graph with a long distance, such
+    as C_25(4,12), from growing to n: without it, the gamma_t bounds of the
+    exact benchmark's 13 graphs come out the same but take 6.3 ms per pass
+    instead of 1.0 ms (Python 3.11, 2-core Xeon).
+    """
+    if not g.connection_set:
+        return range(0)
+    return range(1, min(g.n, 2 * g.connection_set[-1] + 1, 2 * g.degree + 1) + 1)
+
+
+def _independence_window_bound(g: CirculantGraph, masks: list[int]) -> int:
+    """min of floor(n * alpha(G[W]) / |W|) over the windows W, or n without one."""
+    n = g.n
+    bound = n
+    alpha = window = 0
+    for w in _window_widths(g):
+        bit = 1 << (w - 1)
+        # alpha(G[W]) grows, by one, exactly when the old window holds alpha
+        # independent vertices that are not neighbours of vertex w
+        if _first_independent_set(masks, window & ~masks[w - 1], alpha, bit) is not None:
+            alpha += 1
+        window |= bit
+        bound = min(bound, n * alpha // w)
+    return bound
+
+
 def independence_number_oracle(g: CirculantGraph, limit: int | None = None) -> InvariantValue:
     """Maximum independent set size by exhaustive search, with lex-least witness."""
     _check_limit(g.n, limit)
     masks, full = list(g.masks), g.full_mask
-    size = len(_clique_cover_tops(masks, full))
-    while (witness := _first_independent_set(masks, full, size)) is None:
+    size = min(len(_clique_cover_tops(masks, full)), _independence_window_bound(g, masks))
+    rest = full & ~masks[0] & ~1
+    while (witness := _first_independent_set(masks, rest, size - 1, 1)) is None:
         size -= 1
     return InvariantValue(size, mask_to_vertices(witness))
 
@@ -196,9 +248,10 @@ def _first_total_dominating_set(
 ) -> int | None:
     """`chosen` plus the lex-first `need` vertices from `avail` that cover the rest, or None.
 
-    `covered` is what `chosen` dominates, and `avail` the vertices above its
-    last member.  A vertex's options are its neighbours within `avail`; one
-    with none is fatal, and the disjoint-needs walk counts against `need`.
+    `covered` is what `chosen` dominates, with any vertices the caller need
+    not cover, and `avail` the vertices above its last member.  A vertex's
+    options are its neighbours within `avail`; one with none is fatal, and
+    the disjoint-needs walk counts against `need`.
     """
     if need == 0:
         return chosen if covered == full else None
@@ -230,6 +283,25 @@ def _first_total_dominating_set(
     return None
 
 
+def _total_domination_window_bound(g: CirculantGraph, masks: list[int]) -> int:
+    """max of ceil(n * tau(W) / |N(W)|) over the windows W, or 0 without one.
+
+    tau(W) is the fewest vertices whose open neighbourhoods cover W, and
+    N(W) the union of the open neighbourhoods of W.
+    """
+    n, full, deg = g.n, g.full_mask, g.degree
+    bound = tau = window = near = 0
+    for w in _window_widths(g):
+        window |= 1 << (w - 1)
+        near |= masks[w - 1]
+        # tau(W) grows by at most one, as a neighbour of vertex w covers it;
+        # the covering members lie in N(W), and the rest of G counts as covered
+        if _first_total_dominating_set(masks, full, deg, near, tau, full ^ window) is None:
+            tau += 1
+        bound = max(bound, -(-n * tau // near.bit_count()))
+    return bound
+
+
 def total_domination_number_oracle(
     g: CirculantGraph, limit: int | None = None
 ) -> InvariantValue:
@@ -243,8 +315,10 @@ def total_domination_number_oracle(
     if not g.degree:
         raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     masks, full, deg = list(g.masks), g.full_mask, g.degree
-    size = max(2, -(-g.n // deg))
-    while (witness := _first_total_dominating_set(masks, full, deg, full, size)) is None:
+    size = max(2, -(-g.n // deg), _total_domination_window_bound(g, masks))
+    while (
+        witness := _first_total_dominating_set(masks, full, deg, full ^ 1, size - 1, masks[0], 1)
+    ) is None:
         size += 1
     return InvariantValue(size, mask_to_vertices(witness))
 
@@ -255,7 +329,8 @@ class SearchBudget:
 
     The deadline is polled every 4096 nodes, so a level may overrun it by up
     to that many nodes.  Rejects a max_nodes that is not an int (a bool
-    included) or is below 1, and a max_seconds that is NaN or not positive.
+    included) or is below 1, and a max_seconds that is not an int or a float
+    (a bool or a string included), or is NaN or not positive.
     """
 
     max_nodes: int = 10**8
@@ -264,8 +339,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if type(self.max_nodes) is not int or self.max_nodes < 1:
             raise ValueError(f"node budget must be an integer of at least 1, got {self.max_nodes!r}")
-        if not self.max_seconds > 0:
-            raise ValueError(f"time budget must be positive seconds, got {self.max_seconds}")
+        if type(self.max_seconds) not in (int, float) or not self.max_seconds > 0:
+            raise ValueError(f"time budget must be positive seconds, got {self.max_seconds!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,14 @@ from circulant_tdc import (
     total_domination_number_formula,
     total_domination_number_oracle,
 )
-from circulant_tdc.solver import _clique_cover_tops, _packing_graph
+from circulant_tdc.solver import (
+    _clique_cover_tops,
+    _first_independent_set,
+    _first_total_dominating_set,
+    _independence_window_bound,
+    _packing_graph,
+    _total_domination_window_bound,
+)
 
 
 # C_n(1,3) cases are named by n alone, other connection sets "n-gens"; an n
@@ -230,6 +237,45 @@ class TestTotalDominationOracle:
             (open_packing_number_oracle, open_packing_number_formula),
         ):
             assert oracle(g, limit=64).oracle == formula(n), oracle.__name__
+
+
+def _connection_sets(n):
+    """Every connection set of 1-3 circular distances on n vertices."""
+    return [dists for r in (1, 2, 3) for dists in combinations(range(1, n // 2 + 1), r)]
+
+
+class TestVertexTransitivity:
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_window_bounds_are_sound(self, n):
+        # checked by one search at the size just past each bound, from every
+        # vertex and without a start bound: no independent set (open
+        # packing) above the alpha bound, no total dominating set below the
+        # gamma_t bound; C_2k(k) has an edgeless packing graph, with no window
+        for dists in _connection_sets(n):
+            g = build_circulant(n, dists)
+            masks, full = list(g.masks), g.full_mask
+            for h in (g, _packing_graph(g)):
+                h_masks = list(h.masks)
+                bound = _independence_window_bound(h, h_masks)
+                assert _first_independent_set(h_masks, full, bound + 1) is None, (dists, h)
+                assert h.connection_set or bound == n
+            bound = _total_domination_window_bound(g, masks)
+            assert bound >= 1
+            found = _first_total_dominating_set(masks, full, g.degree, full, bound - 1)
+            assert found is None, dists
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_witnesses_contain_vertex_1(self, n):
+        # some rotation of any independent, packing or total dominating set
+        # holds vertex 1, so the lex-first one of each size does too
+        for dists in _connection_sets(n):
+            g = build_circulant(n, dists)
+            for oracle in (
+                independence_number_oracle,
+                open_packing_number_oracle,
+                total_domination_number_oracle,
+            ):
+                assert oracle(g).witness[0] == 1, (dists, oracle.__name__)
 
 
 class TestChromaticOracle:

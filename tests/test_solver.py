@@ -73,7 +73,7 @@ class TestFeasibility:
         "field,value",
         [("max_nodes", 0), ("max_nodes", -5), ("max_nodes", 100.5), ("max_nodes", 100.0),
          ("max_nodes", True), ("max_seconds", float("nan")), ("max_seconds", 0.0),
-         ("max_seconds", -1.0)],
+         ("max_seconds", -1.0), ("max_seconds", True), ("max_seconds", "5")],
     )
     def test_rejects_bad_budget(self, field, value):
         with pytest.raises(ValueError, match="budget"):
