@@ -20,9 +20,9 @@ There are three backtracking searches, each a plain recursive function:
   packings behind the paper's packing-shape claim is a test reference, in
   tests/oracles.py.
 * _first_total_dominating_set, for total domination.  Sizes are tried
-  upward from the largest of 2, ceil(n / degree) and the window bound
-  below.  A branch is cut when the members still to add, `degree` vertices
-  each, cannot cover the rest, and by disjoint needs.
+  upward from the larger of 2 and ceil(n / degree).  A branch is cut when
+  the members still to add, `degree` vertices each, cannot cover the rest,
+  and by disjoint needs, which makes the sizes below gamma_t cheap.
 * _search, the coloring search, below.
 
 The two set scans use, at their top level only, that a circulant is
@@ -34,17 +34,14 @@ recursion does not use it.
   set holds vertex 1, so a size has a set exactly when it has one through
   vertex 1, and the lex-first set of the size holds vertex 1.  Each size is
   searched with vertex 1 already in the set.
-* Window bounds, over the windows W = {1..w} with w at most n, 2 * (largest
-  distance) + 1 and 2 * degree + 1; an edgeless graph has none.  A vertex
-  lies in |X| of the n rotations of a vertex set X, so a set S meets them
-  in |S| * |X| vertices in all.  An independent set meets each rotation of
-  W in at most alpha(G[W]) vertices, so alpha <= floor(n * alpha(G[W]) /
-  |W|) (the no-homomorphism lemma of Albertson and Collins, 1985).  A total
-  dominating set meets each rotation of N(W), the union of the
-  neighbourhoods of W, in at least tau(W) vertices, where tau(W) is the
-  fewest vertices whose neighbourhoods cover W; so gamma_t >= ceil(n *
-  tau(W) / |N(W)|).  Both alpha(G[W]) and tau(W) grow by at most one per
-  added vertex, so each width costs one small search.
+* The window bound starts the alpha scan, and so the rho scan.  It reads
+  the windows W = {1..w}, with w at most n, 2 * (largest distance) + 1 and
+  2 * degree + 1; an edgeless graph has none.  A vertex lies in |W| of the
+  n rotations of W, so an independent set S meets them in |S| * |W|
+  vertices in all, and each in at most alpha(G[W]); so alpha <= floor(n *
+  alpha(G[W]) / |W|) (the no-homomorphism lemma of Albertson and Collins,
+  1985).  alpha(G[W]) grows by at most one per added vertex, so each width
+  costs one small search.
 
 Every prune is sound: it cuts only subtrees that hold no solution.  So each
 search meets first the hit that plain backtracking in the same order meets
@@ -198,25 +195,20 @@ def _packing_graph(g: CirculantGraph) -> CirculantGraph:
     return CirculantGraph(n, tuple(sorted({circular_distance(d, 0, n) for d in diffs})))
 
 
-def _window_widths(g: CirculantGraph) -> range:
-    """Widths w of the windows {1..w} that the start bounds read; none if g is edgeless.
+def _independence_window_bound(g: CirculantGraph, masks: list[int]) -> int:
+    """min of floor(n * alpha(G[W]) / |W|) over the windows W, or n without one.
 
     The degree cap keeps the windows of a graph with a long distance, such
-    as C_25(4,12), from growing to n: without it, the gamma_t bounds of the
-    exact benchmark's 13 graphs come out the same but take 6.3 ms per pass
-    instead of 1.0 ms (Python 3.11, 2-core Xeon).
+    as C_25(4,12), from growing to n: without it, alpha on the 20 graphs
+    that the benchmark's exact searches run takes 0.75 ms per pass instead
+    of 0.5 ms (Python 3.11, 2-core Xeon).
     """
-    if not g.connection_set:
-        return range(0)
-    return range(1, min(g.n, 2 * g.connection_set[-1] + 1, 2 * g.degree + 1) + 1)
-
-
-def _independence_window_bound(g: CirculantGraph, masks: list[int]) -> int:
-    """min of floor(n * alpha(G[W]) / |W|) over the windows W, or n without one."""
     n = g.n
+    if not g.connection_set:
+        return n
     bound = n
     alpha = window = 0
-    for w in _window_widths(g):
+    for w in range(1, min(n, 2 * g.connection_set[-1] + 1, 2 * g.degree + 1) + 1):
         bit = 1 << (w - 1)
         # alpha(G[W]) grows, by one, exactly when the old window holds alpha
         # independent vertices that are not neighbours of vertex w
@@ -248,10 +240,9 @@ def _first_total_dominating_set(
 ) -> int | None:
     """`chosen` plus the lex-first `need` vertices from `avail` that cover the rest, or None.
 
-    `covered` is what `chosen` dominates, with any vertices the caller need
-    not cover, and `avail` the vertices above its last member.  A vertex's
-    options are its neighbours within `avail`; one with none is fatal, and
-    the disjoint-needs walk counts against `need`.
+    `covered` is what `chosen` dominates, and `avail` the vertices above its
+    last member.  A vertex's options are its neighbours within `avail`; one
+    with none is fatal, and the disjoint-needs walk counts against `need`.
     """
     if need == 0:
         return chosen if covered == full else None
@@ -283,25 +274,6 @@ def _first_total_dominating_set(
     return None
 
 
-def _total_domination_window_bound(g: CirculantGraph, masks: list[int]) -> int:
-    """max of ceil(n * tau(W) / |N(W)|) over the windows W, or 0 without one.
-
-    tau(W) is the fewest vertices whose open neighbourhoods cover W, and
-    N(W) the union of the open neighbourhoods of W.
-    """
-    n, full, deg = g.n, g.full_mask, g.degree
-    bound = tau = window = near = 0
-    for w in _window_widths(g):
-        window |= 1 << (w - 1)
-        near |= masks[w - 1]
-        # tau(W) grows by at most one, as a neighbour of vertex w covers it;
-        # the covering members lie in N(W), and the rest of G counts as covered
-        if _first_total_dominating_set(masks, full, deg, near, tau, full ^ window) is None:
-            tau += 1
-        bound = max(bound, -(-n * tau // near.bit_count()))
-    return bound
-
-
 def total_domination_number_oracle(
     g: CirculantGraph, limit: int | None = None
 ) -> InvariantValue:
@@ -315,7 +287,7 @@ def total_domination_number_oracle(
     if not g.degree:
         raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     masks, full, deg = list(g.masks), g.full_mask, g.degree
-    size = max(2, -(-g.n // deg), _total_domination_window_bound(g, masks))
+    size = max(2, -(-g.n // deg))
     while (
         witness := _first_total_dominating_set(masks, full, deg, full ^ 1, size - 1, masks[0], 1)
     ) is None:
@@ -565,7 +537,6 @@ def tdc_number_exact(
     its budget, OracleLimitError above the vertex limit, and ValueError, from
     the total domination oracle, on an edgeless graph.
     """
-    _check_limit(g.n, limit)
     budget = budget or SearchBudget()
     started = time.monotonic()
 

@@ -20,10 +20,8 @@ from circulant_tdc import (
 from circulant_tdc.solver import (
     _clique_cover_tops,
     _first_independent_set,
-    _first_total_dominating_set,
     _independence_window_bound,
     _packing_graph,
-    _total_domination_window_bound,
 )
 
 
@@ -249,20 +247,15 @@ class TestVertexTransitivity:
     def test_window_bounds_are_sound(self, n):
         # checked by one search at the size just past each bound, from every
         # vertex and without a start bound: no independent set (open
-        # packing) above the alpha bound, no total dominating set below the
-        # gamma_t bound; C_2k(k) has an edgeless packing graph, with no window
+        # packing) above the alpha bound; C_2k(k) has an edgeless packing
+        # graph, with no window
         for dists in _connection_sets(n):
             g = build_circulant(n, dists)
-            masks, full = list(g.masks), g.full_mask
             for h in (g, _packing_graph(g)):
                 h_masks = list(h.masks)
                 bound = _independence_window_bound(h, h_masks)
-                assert _first_independent_set(h_masks, full, bound + 1) is None, (dists, h)
+                assert _first_independent_set(h_masks, h.full_mask, bound + 1) is None, (dists, h)
                 assert h.connection_set or bound == n
-            bound = _total_domination_window_bound(g, masks)
-            assert bound >= 1
-            found = _first_total_dominating_set(masks, full, g.degree, full, bound - 1)
-            assert found is None, dists
 
     @pytest.mark.parametrize("n", range(4, 21))
     def test_witnesses_contain_vertex_1(self, n):
