@@ -236,7 +236,7 @@ def open_packing_number_oracle(g: CirculantGraph, limit: int | None = None) -> I
 
 
 def _first_total_dominating_set(
-    masks: list[int], full: int, deg: int, avail: int, need: int, covered: int = 0, chosen: int = 0
+    masks: list[int], full: int, deg: int, avail: int, need: int, covered: int, chosen: int
 ) -> int | None:
     """`chosen` plus the lex-first `need` vertices from `avail` that cover the rest, or None.
 
