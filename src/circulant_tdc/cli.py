@@ -1,11 +1,13 @@
 """Command-line front door.
 
 Commands: chidt, sweep, invariants, verify-coloring, construct, reduce,
-table.  A command returns a RunReport and prints nothing; main alone writes
-it: human text by default, --csv rows (sweep, table), or with --json the one
-envelope {version, command, inputs, results, summary} of every command, with
-results in increasing n (table's summary adds rows and offset_inconsistencies).
-The envelope is one compact line; `python -m json.tool` indents it for reading.
+table.  A command hands a RunReport its results, claims and rows, and prints
+nothing; RunReport.render alone lays them out and main writes them: human
+text by default, --csv rows (sweep, table), or with --json the one envelope
+{version, command, inputs, results, summary} of every command, with results
+in increasing n (table's rows are its results, and its summary adds rows and
+offset_inconsistencies).  The envelope is one compact line, which
+`python -m json.tool` indents for reading.
 Every numeric claim carries a source tag: "formula", "construction",
 "oracle" or "exact-search".  An input error prints one "error:" line on
 stderr and nothing on stdout.
@@ -64,10 +66,13 @@ EXIT_DISAGREE = 2
 
 @dataclass
 class RunReport:
-    """What one command found; main renders it as text, CSV or JSON.
+    """What one command found; render turns it into text, CSV or JSON lines.
 
-    `text` replaces the claim listing for commands with their own layout,
-    `csv` holds the --csv lines (header first), `summary` adds keys to the
+    `add` starts a result; `claim` and `stop` write to the newest one.  Each
+    tuple in `rows` has a value per name in `columns`, None for an empty
+    cell: --csv prints them, and so do text (tab-separated) and JSON (one
+    object per row) when there are no results.  `text` replaces the claim
+    listing for a command with its own layout, `summary` adds keys to the
     JSON summary, and `bracket` records a search stopped by its budget.
     """
 
@@ -79,12 +84,18 @@ class RunReport:
     agreements: int = 0
     bracket: list[int] | None = None
     text: list[str] = field(default_factory=list)
-    csv: list[str] = field(default_factory=list)
+    columns: tuple[str, ...] = ()
+    rows: list[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def claim(self, result: dict, quantity: str, value, source: str, **extra) -> None:
+    def add(self, n: int, header: str | None = None, **fields) -> dict:
+        result = {"n": n, "header": f"n={n}" if header is None else header, **fields}
+        self.results.append(result)
+        return result
+
+    def claim(self, quantity: str, value, source: str, **extra) -> None:
         entry = {"quantity": quantity, "value": value, "source": source, **extra}
-        result.setdefault("claims", []).append(entry)
+        self.results[-1].setdefault("claims", []).append(entry)
 
     def mark(self, agree: bool) -> None:
         if agree:
@@ -92,9 +103,9 @@ class RunReport:
         else:
             self.disagreements += 1
 
-    def stop(self, result: dict, exc: BudgetExceededError, where: str = "") -> None:
+    def stop(self, exc: BudgetExceededError, where: str = "") -> None:
         """Record a search stopped by its budget: the bracket, and a note naming it."""
-        self.bracket = result["bracket"] = [exc.lower, exc.upper]
+        self.bracket = self.results[-1]["bracket"] = [exc.lower, exc.upper]
         self.notes.append(f"{where}budget exceeded: exact value bracketed in {self.bracket}")
 
     @property
@@ -103,14 +114,18 @@ class RunReport:
             return EXIT_INPUT
         return EXIT_DISAGREE if self.disagreements else EXIT_OK
 
+    def _table(self, sep: str) -> list[str]:
+        cells = (sep.join("" if v is None else str(v) for v in row) for row in self.rows)
+        return [sep.join(self.columns), *cells]
+
     def render(self, fmt: str, started: float) -> list[str]:
         """The output lines in "text", "csv" or "json"; `started` is when the run began.
 
-        Results are listed in the order they were appended, which is
-        increasing n: every command appends its results in that order.
+        Results are listed in the order they were added, which is
+        increasing n: every command adds its results in that order.
         """
         if fmt == "csv":
-            return self.csv
+            return self._table(",")
         if fmt == "json":
             summary = {
                 "agreements": self.agreements,
@@ -119,11 +134,14 @@ class RunReport:
                 "elapsed_seconds": round(time.monotonic() - started, 6),
                 **self.summary,
             }
+            results = self.results or [dict(zip(self.columns, row)) for row in self.rows]
             envelope = {"version": SCHEMA_VERSION, "command": self.command, "inputs": self.inputs}
             # one line: json.dumps without indent runs in the C encoder
-            return [json.dumps({**envelope, "results": self.results, "summary": summary})]
+            return [json.dumps({**envelope, "results": results, "summary": summary})]
         if self.text:
             return self.text
+        if not self.results:
+            return self._table("\t")
         lines = []
         for result in self.results:
             lines.append(result["header"])
@@ -183,16 +201,16 @@ def _build_graph(n: int, pair: tuple[int, int] | None, conn: str | None = None) 
     return standard_circulant(n) if pair is None else build_circulant(n, list(pair))
 
 
-def _check_exact(report, result, graph, formula_value, where="", **search):
+def _check_exact(report, graph, formula_value, where="", **search):
     """tdc_number_exact(graph, **search), marked against the formula.
 
     Returns the SearchOutcome, or None after a budget stop, which the report
-    records with `where` as the prefix of its note.
+    records on its newest result with `where` as the prefix of its note.
     """
     try:
         outcome = tdc_number_exact(graph, **search)
     except BudgetExceededError as exc:
-        report.stop(result, exc, where)
+        report.stop(exc, where)
         return None
     report.mark(outcome.chi_dt == formula_value)
     return outcome
@@ -204,13 +222,13 @@ def _check_exact(report, result, graph, formula_value, where="", **search):
 
 def _cmd_chidt(args) -> RunReport:
     n, pair = args.n, _pair(args)
-    budget_seconds = decimal(args.budget_seconds)
+    # built before any work, so that a bad budget is an error with or without --exact
+    budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=decimal(args.budget_seconds))
     report = RunReport(
         "chidt",
         {"n": n, "a": args.a, "b": args.b, "exact": args.exact, "construct": args.construct},
     )
-    result: dict = {"n": n, "header": f"n={n}"}
-    report.results.append(result)
+    result = report.add(n)
 
     reduction = None
     if pair is not None:
@@ -227,23 +245,19 @@ def _cmd_chidt(args) -> RunReport:
     formula_value = formula_tdc(n)
     if n == 6:
         report.notes.append("n=6 is covered by the standard-graph statement only")
-    report.claim(result, "chi_dt", formula_value, "formula")
+    report.claim("chi_dt", formula_value, "formula")
 
     if args.construct:
         verdict = verify_construction(n, reduction)
         report.mark(verdict.ok)
         tdc, classes = verdict.report.tdc, verdict.coloring.as_lists()
-        report.claim(result, "chi_dt", len(classes), "construction", tdc=tdc, classes=classes)
+        report.claim("chi_dt", len(classes), "construction", tdc=tdc, classes=classes)
 
     if args.exact:
-        budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=budget_seconds)
         graph = _build_graph(n, pair)
-        outcome = _check_exact(
-            report, result, graph, formula_value, budget=budget, limit=args.limit
-        )
+        outcome = _check_exact(report, graph, formula_value, budget=budget, limit=args.limit)
         if outcome is not None:
             report.claim(
-                result,
                 "chi_dt",
                 outcome.chi_dt,
                 "exact-search",
@@ -260,33 +274,29 @@ def _cmd_chidt(args) -> RunReport:
 def _cmd_sweep(args) -> RunReport:
     if args.n_from < 6 or args.n_to < args.n_from:
         raise ValueError(f"need 6 <= n_from <= n_to, got {args.n_from}..{args.n_to}")
-    report = RunReport(
-        "sweep", {"n_from": args.n_from, "n_to": args.n_to, "exact_up_to": args.exact_up_to}
-    )
-    report.csv.append("n,chi_dt_formula,construction_classes,construction_tdc,exact,agree")
+    inputs = {"n_from": args.n_from, "n_to": args.n_to, "exact_up_to": args.exact_up_to}
+    columns = ("n", "chi_dt_formula", "construction_classes", "construction_tdc", "exact", "agree")
+    report = RunReport("sweep", inputs, columns=columns)
     for n in range(args.n_from, args.n_to + 1):
         formula_value = formula_tdc(n)
-        result: dict = {"n": n, "header": f"n={n}"}
-        report.results.append(result)
-        report.claim(result, "chi_dt", formula_value, "formula")
+        report.add(n)
+        report.claim("chi_dt", formula_value, "formula")
         verdict = verify_construction(n)
         ok, tdc, classes = verdict.ok, verdict.report.tdc, verdict.num_classes
         # release the plan, coloring and report before the next n is built
         del verdict
         report.mark(ok)
-        report.claim(result, "chi_dt", classes, "construction", tdc=tdc)
-        agree, exact = ok, ""
+        report.claim("chi_dt", classes, "construction", tdc=tdc)
+        agree, exact = ok, None
         if args.exact_up_to is not None and n <= args.exact_up_to:
             graph = standard_circulant(n)
-            outcome = _check_exact(
-                report, result, graph, formula_value, f"n={n}: ", limit=args.exact_up_to
-            )
+            outcome = _check_exact(report, graph, formula_value, f"n={n}: ", limit=args.exact_up_to)
             if outcome is None:
                 break
             exact = outcome.chi_dt
-            report.claim(result, "chi_dt", exact, "exact-search")
+            report.claim("chi_dt", exact, "exact-search")
             agree = agree and exact == formula_value
-        report.csv.append(f"{n},{formula_value},{classes},{tdc},{exact},{agree}")
+        report.rows.append((n, formula_value, classes, tdc, exact, agree))
     return report
 
 
@@ -306,8 +316,7 @@ def _cmd_invariants(args) -> RunReport:
     """
     n = args.n
     report = RunReport("invariants", {"n": n, "oracle": args.oracle, "set": args.set})
-    result: dict = {"n": n, "header": f"n={n}"}
-    report.results.append(result)
+    report.add(n)
     graph = _build_graph(n, None, args.set)
 
     claimed = {}
@@ -317,7 +326,7 @@ def _cmd_invariants(args) -> RunReport:
                 claimed[name] = formula(n)
             except ValueError:
                 continue
-            report.claim(result, name, claimed[name], "formula")
+            report.claim(name, claimed[name], "formula")
 
     if args.oracle:
         for name, _, oracle in _INVARIANTS:
@@ -326,7 +335,7 @@ def _cmd_invariants(args) -> RunReport:
             except OracleLimitError as exc:
                 report.notes.append(f"{name}: {exc}")
                 continue
-            report.claim(result, name, inv.oracle, "oracle", witness=list(inv.witness))
+            report.claim(name, inv.oracle, "oracle", witness=list(inv.witness))
             if name in claimed:
                 report.mark(inv.oracle == claimed[name])
     return report
@@ -401,12 +410,12 @@ def _cmd_verify_coloring(args) -> RunReport:
         "num_classes": len(coloring),
         "uncovered": list(tdc_report.uncovered),
     }
-    result = {"n": graph.n, "header": f"n={graph.n}", "report": listing}
-    report.claim(result, "proper", tdc_report.proper, "oracle")
-    report.claim(result, "tdc", tdc_report.tdc, "oracle")
-    report.claim(result, "num_classes", len(coloring), "oracle")
+    report.add(graph.n, report=listing)
+    report.claim("proper", tdc_report.proper, "oracle")
+    report.claim("tdc", tdc_report.tdc, "oracle")
+    report.claim("num_classes", len(coloring), "oracle")
     if tdc_report.uncovered:
-        report.claim(result, "uncovered", listing["uncovered"], "oracle")
+        report.claim("uncovered", listing["uncovered"], "oracle")
     # each class is listed once, as its CN claim; the classes of as_lists()
     # are ascending and in 1..n, so none is checked again
     n, offsets = graph.n, graph.offsets
@@ -415,9 +424,8 @@ def _cmd_verify_coloring(args) -> RunReport:
     for members in coloring.as_lists():
         cn = sorted(_common_neighbors(n, offsets, offset_set, members))
         cn_size_sum += len(cn)
-        report.claim(result, f"CN{members}", cn, "oracle", size=len(members))
+        report.claim(f"CN{members}", cn, "oracle", size=len(members))
     listing["cn_size_sum"] = cn_size_sum
-    report.results.append(result)
     return report
 
 
@@ -426,14 +434,15 @@ def _cmd_construct(args) -> RunReport:
     report = RunReport("construct", {"n": n})
     verdict = verify_construction(n)
     report.mark(verdict.ok)
-    result = {"n": n, "header": f"n={n}", "plan": verdict.plan.to_dict()}
-    report.claim(result, "num_classes", verdict.num_classes, "construction")
-    report.claim(result, "chi_dt", verdict.expected_classes, "formula")
-    report.claim(result, "tdc", verdict.report.tdc, "construction")
-    report.results.append(result)
+    plan, classes = verdict.plan, verdict.coloring.as_lists()
+    listing = {"n": n, "k": plan.k, "residue": plan.residue, "packing": sorted(plan.packing)}
+    report.add(n, plan={**listing, "num_classes": verdict.num_classes, "classes": classes})
+    report.claim("num_classes", verdict.num_classes, "construction")
+    report.claim("chi_dt", verdict.expected_classes, "formula")
+    report.claim("tdc", verdict.report.tdc, "construction")
     report.text = [
         f"n={n}  classes ({verdict.num_classes}):",
-        *("  {" + ", ".join(map(str, cls)) + "}" for cls in verdict.coloring.as_lists()),
+        *("  {" + ", ".join(map(str, cls)) + "}" for cls in classes),
         f"tdc={verdict.report.tdc}  expected_classes={verdict.expected_classes}  ok={verdict.ok}",
     ]
     return report
@@ -443,45 +452,34 @@ def _cmd_reduce(args) -> RunReport:
     n, a, b = args.n, args.a, args.b
     reduction = reduce_to_standard(n, a, b)
     report = RunReport("reduce", {"n": n, "a": a, "b": b})
-    result = {
-        "n": n,
-        "header": f"C_{n}({a},{b})",
-        "reduction": {
+    report.add(
+        n,
+        f"C_{n}({a},{b})",
+        reduction={
             "a_inverse": reduction.a_inverse,
             "raw_c": reduction.raw_c,
             "standard_c": reduction.standard_c,
             "congruence": reduction.congruence,
             "vertex_map": {str(k): v for k, v in sorted(reduction.vertex_map.items())},
         },
-    }
-    report.claim(result, "standard_c", reduction.standard_c, "formula")
+    )
+    report.claim("standard_c", reduction.standard_c, "formula")
     try:
         g1 = build_circulant(n, [a, b])
         g2 = build_circulant(n, [1, reduction.standard_c])
         certified = verify_isomorphism(g1, g2, reduction.vertex_map)
-        report.claim(result, "isomorphism_certified", certified, "oracle")
+        report.claim("isomorphism_certified", certified, "oracle")
         report.mark(certified)
     except GraphConstructionError as exc:
         report.notes.append(f"certificate skipped (degenerate connection set): {exc}")
-    report.results.append(result)
     return report
 
 
 def _cmd_table(args) -> RunReport:
     rows = formula_rows(args.n_from, args.n_to)
-    report = RunReport("table", {"n_from": args.n_from, "n_to": args.n_to})
-    # build the lines only in the one format main prints
-    fmt = _format(args)
-    if fmt == "json":
-        report.results = [dict(zip(TABLE_COLUMNS, row)) for row in rows]
-    else:
-        sep = "," if fmt == "csv" else "\t"
-        lines = [sep.join(TABLE_COLUMNS)]
-        lines += [sep.join("" if v is None else str(v) for v in row) for row in rows]
-        if fmt == "csv":
-            report.csv = lines
-        else:
-            report.text = lines
+    report = RunReport(
+        "table", {"n_from": args.n_from, "n_to": args.n_to}, columns=TABLE_COLUMNS, rows=rows
+    )
     report.summary = {
         "rows": len(rows),
         "offset_inconsistencies": sum(1 for row in rows if not row[-1]),

@@ -16,8 +16,8 @@ plus the tails, the leftovers are (odd - T - M) | (even & M) and
 (even - T - M) | (odd & M); Coloring.from_colors rejects an array that
 leaves a class empty.
 
-verify_construction is the one place that builds a construction and tests
-it, on C_n(1,3) or, through a reduction, on C_n(a,b).
+verify_construction builds a construction and tests it, on C_n(1,3) or,
+through a reduction, on C_n(a,b).
 """
 
 from __future__ import annotations
@@ -63,16 +63,6 @@ class ConstructionPlan:
         if self.n <= 11:
             return frozenset()
         return frozenset(chain(range(1, 8 * self.k, 8), range(2, 8 * self.k, 8)))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "residue": self.residue,
-            "packing": sorted(self.packing),
-            "num_classes": len(self.coloring),
-            "classes": self.coloring.as_lists(),
-        }
 
 
 # Row r = n % 8: (tail classes as offsets below n, offsets whose vertex moves

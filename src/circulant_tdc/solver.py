@@ -104,7 +104,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, is_tdc
-from .constructions import verify_construction
+from .constructions import construct_tdc
 from .graphs import CirculantGraph, circular_distance, is_standard_13, mask_to_vertices
 
 DEFAULT_ORACLE_LIMIT = 24
@@ -551,10 +551,10 @@ def tdc_number_exact(
 
     construction_witness: Coloring | None = None
     if is_standard_13(g) and g.n >= 6:
-        verdict = verify_construction(g.n)
-        assert verdict.report.tdc, f"construction for n={g.n} failed its own verification"
-        construction_witness = verdict.coloring
-        upper, upper_source = verdict.num_classes, "construction"
+        construction_witness = construct_tdc(g.n).coloring
+        report = is_tdc(g, construction_witness)
+        assert report.tdc, f"construction for n={g.n} failed its own verification"
+        upper, upper_source = len(construction_witness), "construction"
     else:
         upper, upper_source = gamma_t + chi, "total-domination+chromatic"
 

@@ -77,6 +77,11 @@ class TestChidt:
         code, _ = run_cli("chidt", "5")
         assert code == 1
 
+    def test_n6_is_noted(self):
+        code, out = run_cli("chidt", "6")
+        assert code == 0
+        assert "note: n=6 is covered by the standard-graph statement only" in out.splitlines()
+
     def test_budget_exceeded_reports_bracket(self):
         code, out = run_cli("chidt", "17", "--exact", "--budget-nodes", "20")
         assert code == 1
@@ -88,10 +93,12 @@ class TestChidt:
          ("--budget-seconds", "0"), ("--budget-seconds", "-1")],
     )
     def test_rejects_bad_budget(self, capsys, option, value):
-        code, out = run_cli("chidt", "12", "--exact", option, value)
-        err = capsys.readouterr().err
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # the budget is checked before any work, whether or not it is used
+        for exact in (["--exact"], []):
+            code, out = run_cli("chidt", "12", *exact, option, value)
+            err = capsys.readouterr().err
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["١_0", "+3", "0_3", "inf"])
     def test_budget_seconds_is_ascii_decimal(self, capsys, value):
@@ -194,6 +201,17 @@ class TestInvariants:
         code, _ = run_cli("invariants", "4", "--oracle")
         assert code == 2
 
+    def test_closed_form_below_its_range_is_not_claimed(self):
+        # at n = 3 only the open packing form gives a value; the other two
+        # oracle values are claimed without a formula to mark them against
+        code, out = run_cli("invariants", "3", "--oracle", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        claims = payload["results"][0]["claims"]
+        assert [c["quantity"] for c in claims if c["source"] == "formula"] == ["open_packing"]
+        assert len([c for c in claims if c["source"] == "oracle"]) == 3
+        assert (payload["summary"]["agreements"], payload["summary"]["disagreements"]) == (1, 0)
+
     def test_limit_refusal_is_not_fatal(self):
         code, out = run_cli("invariants", "30", "--oracle")
         assert code == 0
@@ -250,6 +268,14 @@ class TestVerifyColoring:
         f.write_text("[[1,3,5,7],[2,4,6,8]")
         code, _ = run_cli("verify-coloring", "8", str(f))
         assert code == 1
+
+    def test_rejects_json_that_is_not_array_of_arrays(self, tmp_path, capsys):
+        f = tmp_path / "c.json"
+        f.write_text("[1, 2]")
+        code, out = run_cli("verify-coloring", "8", str(f))
+        assert (code, out) == (1, "")
+        expected = f"error: {f}: expected a JSON array of arrays of vertex labels\n"
+        assert capsys.readouterr().err == expected
 
     def test_partition_error_names_vertex(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
@@ -354,6 +380,16 @@ class TestConstructReduceTable:
         assert red["standard_c"] == 3 and red["a_inverse"] == 3
         claims = {c["quantity"]: c["value"] for c in payload["results"][0]["claims"]}
         assert claims["isomorphism_certified"] is True
+
+    def test_reduce_degenerate_target_skips_certificate(self):
+        # C_7(1,6) is the 7-cycle: 6 is distance 1, so C_7(1,1) cannot be built
+        code, out = run_cli("reduce", "7", "1", "6", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        quantities = [c["quantity"] for c in payload["results"][0]["claims"]]
+        assert quantities == ["standard_c"]
+        (note,) = payload["summary"]["notes"]
+        assert note.startswith("certificate skipped (degenerate connection set): ")
 
     def test_reduce_rejects_non_coprime(self):
         code, _ = run_cli("reduce", "9", "3", "1")

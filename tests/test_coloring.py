@@ -262,6 +262,11 @@ class TestCommonNeighborhood:
         with pytest.raises(ColoringError):
             common_neighborhood(standard_circulant(8), set())
 
+    @pytest.mark.parametrize("v", [0, 9, -1])
+    def test_rejects_vertex_outside_range(self, v):
+        with pytest.raises(ColoringError, match=f"vertex {v} is outside 1..8"):
+            common_neighborhood(standard_circulant(8), {1, v})
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=6, max_value=20),

@@ -55,6 +55,10 @@ class TestResidueScheme:
         singleton_members = {c[0] for c in plan.coloring.as_lists() if len(c) == 1}
         assert plan.packing <= singleton_members
 
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_table_sizes_have_no_packing(self, n):
+        assert construct_tdc(n).packing == frozenset()
+
     @pytest.mark.parametrize("n", range(12, 20))
     def test_smallest_instantiation_of_each_residue(self, n):
         """The first n of every residue class gets an independent TDC check."""

@@ -57,6 +57,11 @@ class TestFormulaTdcGeneral:
     def test_either_generator_order(self, n, a, b):
         assert formula_tdc_general(n, a, b) == formula_tdc_general(n, b, a) == formula_tdc(n)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_n_below_6(self, n):
+        with pytest.raises(ValueError, match=f"closed form needs n >= 6, got {n}"):
+            formula_tdc_general(n, 1, 3)
+
     def test_identifies_gcd_failure(self):
         # 3 and 6 are both non-units mod 9, so neither order reduces
         with pytest.raises(GraphConstructionError, match="gcd"):

@@ -110,6 +110,10 @@ class TestStandardFamily:
         assert standard_circulant(4).degree == 2
         assert standard_circulant(5).degree == 4
 
+    def test_rejects_n_below_3(self):
+        with pytest.raises(GraphConstructionError, match="need n >= 3, got n=2"):
+            standard_connection_set(2)
+
 
 class TestReduction:
     def test_reduce_7_2_6(self):
