@@ -438,6 +438,21 @@ class TestContract:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "12", "--set", "1,3", "--oracle", "--limit", "-1"],
+            ["chidt", "12", "--exact", "--limit", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_limit_is_named(self, capsys, argv):
+        # an invariants oracle refused at -1 used to be a note, with exit 0
+        assert run_cli(*argv) == (1, "")
+        captured = capsys.readouterr()
+        error = f"error: vertex limit must be an integer of at least 1, got {argv[-1]}\n"
+        assert (captured.out, captured.err) == ("", error)
+
+    @pytest.mark.parametrize(
         "argv,token",
         [
             (["construct", "١٢"], "١٢"),

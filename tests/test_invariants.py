@@ -14,6 +14,7 @@ from circulant_tdc import (
     open_packing_number_formula,
     open_packing_number_oracle,
     standard_circulant,
+    tdc_number_exact,
     total_domination_number_formula,
     total_domination_number_oracle,
 )
@@ -342,3 +343,21 @@ class TestOracleLimits:
     def test_explicit_limit_override(self):
         g = standard_circulant(25)
         assert independence_number_oracle(g, limit=25).oracle == 11
+
+    # True would act as 1, and 2.5 would compare as a number
+    @pytest.mark.parametrize("limit", [True, 0, -1, 2.5], ids=repr)
+    @pytest.mark.parametrize(
+        "search",
+        [
+            independence_number_oracle,
+            open_packing_number_oracle,
+            total_domination_number_oracle,
+            chromatic_number_oracle,
+            tdc_number_exact,
+        ],
+        ids=lambda search: search.__name__,
+    )
+    def test_rejects_bad_limit(self, search, limit):
+        with pytest.raises(ValueError) as info:
+            search(standard_circulant(12), limit=limit)
+        assert str(info.value) == f"vertex limit must be an integer of at least 1, got {limit!r}"

@@ -138,6 +138,21 @@ SEARCH_TREE = {
         526,
         [[1, 2, 5, 9, 13, 17], [3, 4, 7, 11, 15, 19], [6, 18], [8], [10], [12], [14], [16]],
     ),
+    # levels whose disjoint-needs counts often repeat a union already walked
+    # (55% of lookups at C_25(4,12) with 9 classes): each of these trees
+    # moves if a count is remembered under the wrong vertex
+    (25, (4, 12), 8): ("infeasible", 1735, None),
+    (25, (4, 12), 9): (
+        "feasible",
+        27610,
+        [[1, 2, 3, 4, 10, 11, 20, 21], [5], [6, 7, 8, 13, 14, 15, 22, 24], [9, 17, 25], [12], [16],
+         [18], [19], [23]],
+    ),
+    (21, (4, 12), 8): (
+        "feasible",
+        5030,
+        [[1, 2, 4, 9, 12, 15, 20], [3, 5, 6, 8, 13, 16, 19], [7], [10, 18], [11], [14], [17], [21]],
+    ),
 }
 
 # total nodes of tdc_number_exact(standard_circulant(n)) over the levels it searches
