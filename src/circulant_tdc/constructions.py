@@ -102,10 +102,11 @@ def construct_tdc(n: int) -> ConstructionPlan:
 
     Deterministic; class order follows the listing order (packing singletons,
     then boundary sets, then parity leftovers).  Coloring.from_colors raises
-    ColoringError if the array ever leaves a class index unused.
+    ColoringError if the array ever leaves a class index unused.  Raises
+    ValueError for an n that is not an int (a bool included) or is below 6.
     """
-    if n < 6:
-        raise ValueError(f"constructions start at n = 6, got {n}")
+    if type(n) is not int or n < 6:
+        raise ValueError(f"constructions need an integer n >= 6, got {n!r}")
     if n <= 11:
         coloring = Coloring.from_classes(n, _SMALL_TABLE[n])
     else:

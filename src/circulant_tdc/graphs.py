@@ -84,19 +84,29 @@ def mask_to_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_order(n: int) -> None:
+    """Refuse an n that is not an int (a bool included) or is below 3."""
+    if type(n) is not int:
+        raise GraphConstructionError(f"n must be an integer, got n={n!r}")
+    if n < 3:
+        raise GraphConstructionError(f"need n >= 3, got n={n}")
+
+
 def build_circulant(n: int, generators: Sequence[int]) -> CirculantGraph:
     """Build the circulant graph on {1..n} with the given generators.
 
     Each generator g is normalized to the circular distance min(g mod n,
-    n - g mod n).  Rejects n < 3, generators congruent to 0 mod n (would be
-    self-loops) and generators that collide after normalization.
+    n - g mod n).  Rejects an n or a generator that is not an int (a bool
+    included), n < 3, generators congruent to 0 mod n (would be self-loops)
+    and generators that collide after normalization.
     """
-    if n < 3:
-        raise GraphConstructionError(f"need n >= 3, got n={n}")
+    _check_order(n)
     if not generators:
         raise GraphConstructionError("need at least one generator")
     distances = []
     for g in generators:
+        if type(g) is not int:
+            raise GraphConstructionError(f"generators must be integers, got {g!r}")
         d = circular_distance(g, 0, n)
         if d == 0:
             raise GraphConstructionError(f"generator {g} is 0 mod {n} (self-loop)")
@@ -113,10 +123,10 @@ def standard_connection_set(n: int) -> tuple[int, ...]:
 
     For n >= 6 this is (1, 3).  For n = 3, 4, 5 the distance 3 collapses
     (3 = 0, 1, 2 mod n respectively), so the family degenerates to the
-    triangle, the 4-cycle and the complete graph K_5.
+    triangle, the 4-cycle and the complete graph K_5.  Rejects n as
+    build_circulant does.
     """
-    if n < 3:
-        raise GraphConstructionError(f"need n >= 3, got n={n}")
+    _check_order(n)
     distances = {1}
     d = circular_distance(3, 0, n)
     if d:

@@ -20,9 +20,9 @@ There are three backtracking searches, each a plain recursive function:
   packings behind the paper's packing-shape claim is a test reference, in
   tests/oracles.py.
 * _first_total_dominating_set, for total domination.  Sizes are tried
-  upward from the larger of 2 and ceil(n / degree).  A branch is cut when
-  the members still to add, `degree` vertices each, cannot cover the rest,
-  and by disjoint needs, which makes the sizes below gamma_t cheap.
+  upward from 1.  A branch is cut when the members still to add, `degree`
+  vertices each, cannot cover the rest (at the root, every size below
+  n / degree), and by disjoint needs, which makes sizes below gamma_t cheap.
 * _search, the coloring search, below.
 
 The two set scans use, at their top level only, that a circulant is
@@ -95,9 +95,9 @@ of the walk (C_34(3,9) at 11 classes looks up 82% of its counts).
 The checks need only that the demand sets have one size and are symmetric,
 as neighborhoods in a regular graph and the full sets are.
 
-tdc_number_exact scans class counts upward from max(chi, gamma_t) to a
-proven upper bound; minimality never relies on monotonicity of feasibility
-because every smaller count is exhausted first.
+tdc_number_exact scans class counts upward from max(chi, gamma_t) and stops
+at the first feasible one or, on C_n(1,3), below the verified construction,
+which is then the witness: every smaller count is exhausted first.
 """
 
 from __future__ import annotations
@@ -288,15 +288,15 @@ def total_domination_number_oracle(
 ) -> InvariantValue:
     """Minimum total dominating set size by increasing-cardinality search.
 
-    A single vertex never dominates itself and each vertex covers at most
-    `degree` others; the scan ends by size n, as every vertex has a neighbour.
-    Raises ValueError on an edgeless graph, whose vertices have none.
+    The scan starts at size 1, and the root's counting test rejects each
+    size below n / degree in O(1); it ends by size n, as every vertex has a
+    neighbour.  Raises ValueError on an edgeless graph, where it never would.
     """
     _check_limit(g.n, limit)
     if not g.degree:
         raise ValueError("graph has an isolated vertex; no total dominator coloring exists")
     masks, full, deg = list(g.masks), g.full_mask, g.degree
-    size = max(2, -(-g.n // deg))
+    size = 1
     while (
         witness := _first_total_dominating_set(masks, full, deg, full ^ 1, size - 1, masks[0], 1)
     ) is None:
@@ -365,10 +365,11 @@ def tdc_feasible(
     properness test; the O(1) slack test then runs before the coverage union
     is built, the counting and coverage tests run on that union, and the
     disjoint-needs count runs last, walked once per union and vertex within
-    the level.  A budget stop returns BUDGET_EXCEEDED.
+    the level.  A budget stop returns BUDGET_EXCEEDED.  Raises ValueError for
+    a num_colors that is not an int (a bool included) or is not in 1..n.
     """
-    if not (1 <= num_colors <= g.n):
-        raise ValueError(f"need 1 <= num_colors <= {g.n}, got {num_colors}")
+    if type(num_colors) is not int or not 1 <= num_colors <= g.n:
+        raise ValueError(f"need an integer 1 <= num_colors <= {g.n}, got {num_colors!r}")
     return _search(g, num_colors, budget or SearchBudget(), g.masks)
 
 
@@ -507,17 +508,15 @@ def chromatic_number_oracle(g: CirculantGraph, limit: int | None = None) -> Inva
     witness is the first coloring found, classes in first-use order.
     """
     _check_limit(g.n, limit)
-    clique, common = 0, g.full_mask
+    k, common = 0, g.full_mask
     for v, nv in enumerate(g.masks):
-        if common >> v & 1:
-            clique += 1
+        if common >> v & 1:  # v joins the greedy clique
+            k += 1
             common &= nv
     demand = [g.full_mask] * g.n
-    for k in range(clique, g.n + 1):
-        coloring = _search(g, k, _UNBOUNDED, demand).coloring
-        if coloring is not None:
-            return InvariantValue(k, coloring)
-    raise AssertionError("unreachable: n colors always suffice")
+    while (coloring := _search(g, k, _UNBOUNDED, demand).coloring) is None:
+        k += 1
+    return InvariantValue(k, coloring)
 
 
 @dataclass(frozen=True)
@@ -543,45 +542,39 @@ def tdc_number_exact(
     """Exact total dominator chromatic number of g.
 
     Tests each class count upward from max(chromatic, total domination) to
-    an upper bound: the explicit construction on the standard distance-{1,3}
-    graph, which needs no search at its level, and gamma_t + chi otherwise
-    (Kazemi, Trans. Comb. 2015): a minimum total dominating set as singleton
-    classes plus a proper coloring of the rest is a TDC, since every vertex
-    dominates the singleton of a neighbour in the set.  Raises
-    BudgetExceededError with the bracket found so far if any level exhausts
-    its budget, OracleLimitError above the vertex limit, and ValueError, from
-    the total domination oracle, on an edgeless graph.
+    an upper bound.  On the standard distance-{1,3} graph that is the explicit
+    construction, verified first; its level is not searched, as it is the
+    witness once every smaller count is infeasible.  Otherwise it is
+    gamma_t + chi, and searched (Kazemi, Trans. Comb. 2015): a minimum total
+    dominating set as singleton classes plus a proper coloring of the rest
+    is a TDC, since every vertex dominates the singleton of a neighbour in
+    the set.  Raises BudgetExceededError with the bracket found so far if
+    any level exhausts its budget, OracleLimitError above the vertex limit,
+    and ValueError, from the total domination oracle, on an edgeless graph.
     """
-    budget = budget or SearchBudget()
     started = time.monotonic()
 
-    chromatic = chromatic_number_oracle(g, limit=limit)
-    domination = total_domination_number_oracle(g, limit=limit)
-    chi = chromatic.oracle
-    gamma_t = domination.oracle
+    chi = chromatic_number_oracle(g, limit=limit).oracle
+    gamma_t = total_domination_number_oracle(g, limit=limit).oracle
     if chi >= gamma_t:
         lower, lower_source = chi, "chromatic"
     else:
         lower, lower_source = gamma_t, "total-domination"
 
-    construction_witness: Coloring | None = None
+    witness: Coloring | None = None
     if is_standard_13(g) and g.n >= 6:
-        construction_witness = construct_tdc(g.n).coloring
-        report = is_tdc(g, construction_witness)
-        assert report.tdc, f"construction for n={g.n} failed its own verification"
-        upper, upper_source = len(construction_witness), "construction"
+        # verified even when a lower level turns out feasible (n = 18)
+        witness = construct_tdc(g.n).coloring
+        assert is_tdc(g, witness).tdc, f"construction for n={g.n} failed its own verification"
+        upper, upper_source = len(witness), "construction"
+        searched = range(lower, upper)
     else:
         upper, upper_source = gamma_t + chi, "total-domination+chromatic"
+        searched = range(lower, upper + 1)
 
     nodes_total = 0
     levels: list[tuple[int, str]] = []
-    for k in range(lower, upper + 1):
-        if k == upper and construction_witness is not None:
-            # every smaller class count was exhausted; the verified
-            # construction is the witness, no search needed at this level
-            witness = construction_witness
-            levels.append((k, FEASIBLE))
-            break
+    for k in searched:
         outcome = tdc_feasible(g, k, budget)
         nodes_total += outcome.nodes_explored
         levels.append((k, outcome.status))
@@ -592,14 +585,14 @@ def tdc_number_exact(
                 nodes_explored=nodes_total,
                 elapsed_seconds=time.monotonic() - started,
             )
-        if outcome.status == FEASIBLE:
-            assert outcome.coloring is not None
+        if outcome.coloring is not None:
             witness = outcome.coloring
-            report = is_tdc(g, witness)
-            assert report.tdc, "search returned a non-TDC witness"
+            assert is_tdc(g, witness).tdc, "search returned a non-TDC witness"
             break
     else:
-        raise AssertionError(f"no coloring within the proven upper bound {upper} ({upper_source})")
+        assert witness is not None, f"no coloring within the upper bound {upper} ({upper_source})"
+        k = upper
+        levels.append((k, FEASIBLE))
     return SearchOutcome(
         chi_dt=k,
         witness=witness,

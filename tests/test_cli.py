@@ -54,7 +54,8 @@ class TestChidt:
         f.write_text(json.dumps(built["classes"]))
         code, out = run_cli("verify-coloring", "14", "9", "3", str(f), "--json")
         assert code == 0
-        assert json.loads(out)["results"][0]["report"]["tdc"] is True
+        claims = json.loads(out)["results"][0]["claims"]
+        assert {c["quantity"]: c["value"] for c in claims}["tdc"] is True
 
     def test_outside_the_family_names_both_orders(self, capsys):
         code, out = run_cli("chidt", "11", "1", "2")
@@ -252,16 +253,17 @@ class TestVerifyColoring:
         f.write_text("1 8\n2 9\n3 5 7\n4 6\n")
         code, out = run_cli("verify-coloring", "9", str(f), "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["results"][0]["report"]["tdc"] is True
+        claims = json.loads(out)["results"][0]["claims"]
+        assert {c["quantity"]: c["value"] for c in claims}["tdc"] is True
 
     def test_proper_but_not_tdc(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text("[[1,3,5],[4,6,8],[7,9,2]]")
         code, out = run_cli("verify-coloring", "9", str(f), "--json")
         assert code == 0
-        rep = json.loads(out)["results"][0]["report"]
-        assert rep["proper"] is True and rep["tdc"] is False
+        claims = json.loads(out)["results"][0]["claims"]
+        found = {c["quantity"]: c["value"] for c in claims}
+        assert found["proper"] is True and found["tdc"] is False
 
     def test_parse_error_names_line(self, tmp_path):
         f = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,11 @@ class TestVerifyConstruction:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             construct_tdc(5)
+
+    @pytest.mark.parametrize("n", [12.0, True, "12"])
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            construct_tdc(n)
 
     def test_deterministic(self):
         assert construct_tdc(77).coloring == construct_tdc(77).coloring

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -60,6 +61,16 @@ class TestBuildCirculant:
         with pytest.raises(GraphConstructionError):
             build_circulant(8, [])
 
+    # (n, generators, the value the error names)
+    @pytest.mark.parametrize(
+        "n,generators,bad",
+        [(12.0, [1, 3], 12.0), (True, [1], True), (12, [1.0, 3], 1.0), (12, [True, 3], True),
+         (12, [1, "3"], "3")],
+    )
+    def test_rejects_a_non_integer(self, n, generators, bad):
+        with pytest.raises(GraphConstructionError, match=re.escape(repr(bad))):
+            build_circulant(n, generators)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=3, max_value=40),
@@ -113,6 +124,12 @@ class TestStandardFamily:
     def test_rejects_n_below_3(self):
         with pytest.raises(GraphConstructionError, match="need n >= 3, got n=2"):
             standard_connection_set(2)
+
+    @pytest.mark.parametrize("n", [12.0, True, "12"])
+    def test_rejects_a_non_integer_n(self, n):
+        for build in (standard_connection_set, standard_circulant):
+            with pytest.raises(GraphConstructionError, match=re.escape(repr(n))):
+                build(n)
 
 
 class TestReduction:

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from circulant_tdc import (
     SearchBudget,
     build_circulant,
     common_neighborhood,
+    construct_tdc,
     formula_tdc,
     is_tdc,
     standard_circulant,
@@ -84,6 +86,10 @@ class TestFeasibility:
             tdc_feasible(standard_circulant(9), 0)
         with pytest.raises(ValueError):
             tdc_feasible(standard_circulant(9), 10)
+        # a bool or a non-int is named, not run as a count or failed deep in the search
+        for bad in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                tdc_feasible(standard_circulant(12), bad)
 
     @pytest.mark.parametrize("n,dists", PLAIN_CASES)
     def test_agrees_with_plain_search(self, n, dists):
@@ -199,9 +205,20 @@ class TestExactValue:
         assert out.chi_dt == 7
         assert formula_tdc(18) == 8
         assert is_tdc(g, out.witness).tdc
+        # the scan stops below the construction, whose bound is still reported
+        assert out.levels == ((6, "infeasible"), (7, "feasible"))
+        assert (out.upper_bound_used, out.upper_bound_source) == (8, "construction")
         assert sum(len(common_neighborhood(g, cls)) for cls in out.witness.as_lists()) == 18
         adj = oracles.neighbors(18, {1, 3})
         assert oracles.is_tdc_classes(18, adj, out.witness.as_lists())
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 10])
+    def test_construction_at_the_lower_bound_is_not_searched(self, n):
+        out = tdc_number_exact(standard_circulant(n))
+        assert out.lower_bound_used == out.upper_bound_used == out.chi_dt
+        assert out.levels == ((out.chi_dt, "feasible"),)
+        assert out.nodes_explored == 0
+        assert out.witness == construct_tdc(n).coloring
 
     def test_witness_class_count_equals_value(self):
         for n in range(6, 16):
@@ -274,3 +291,12 @@ class TestBracket:
             assert ks == list(range(out.lower_bound_used, out.lower_bound_used + len(ks)))
             assert out.levels[-1] == (out.chi_dt, "feasible")
             assert all(status == "infeasible" for _, status in out.levels[:-1])
+
+    def test_value_at_the_upper_bound_is_searched(self):
+        # C_19(2,6), an isomorph of C_19(1,3) in its own vertex order, has its
+        # value at gamma_t + chi: that level is searched, not assumed
+        out = tdc_number_exact(build_circulant(19, [2, 6]))
+        assert out.levels == ((5, "infeasible"), (6, "infeasible"), (7, "infeasible"),
+                              (8, "feasible"))
+        assert (out.upper_bound_used, out.upper_bound_source) == (8, "total-domination+chromatic")
+        assert out.nodes_explored == 3736
