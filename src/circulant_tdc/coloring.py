@@ -120,20 +120,17 @@ class ColoringReport:
     tdc: bool
 
 
-def _require_same_order(g: CirculantGraph, coloring: Coloring) -> None:
-    if coloring.n != g.n:
-        raise ColoringError(f"coloring is on {coloring.n} vertices, graph on {g.n}")
-
-
 def is_proper(g: CirculantGraph, coloring: Coloring) -> bool:
     """True iff no edge of g joins two vertices of the same class.
 
     The edges of distance d join each vertex to the one d steps on, so the
     coloring is proper iff the color array differs everywhere from its
     rotation by d, for every d in the connection set.  The rotation is read
-    in place, so no rotated copy of the array is made.
+    in place, so no rotated copy of the array is made.  A coloring of
+    another order raises ColoringError.
     """
-    _require_same_order(g, coloring)
+    if coloring.n != g.n:
+        raise ColoringError(f"coloring is on {coloring.n} vertices, graph on {g.n}")
     color = coloring.color
     return not any(
         any(map(operator.eq, color, chain(islice(color, d, None), color[:d])))
@@ -188,8 +185,8 @@ def is_tdc(g: CirculantGraph, coloring: Coloring) -> ColoringReport:
     the degree covers nothing, so only classes of size 2..degree have their
     members collected and their common neighbors cleared.  No class set is
     built and none is recorded: O(n * degree) time and O(n) memory.
+    is_proper, which runs first, rejects a coloring of another order.
     """
-    _require_same_order(g, coloring)
     proper = is_proper(g, coloring)
     n, offsets, color = g.n, g.offsets, coloring.color
     sizes = Counter(color)

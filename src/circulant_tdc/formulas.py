@@ -21,8 +21,11 @@ def formula_tdc(n: int) -> int:
     """Total dominator chromatic number of the standard distance-{1,3} graph.
 
     Case order matters: n = 9 and n = 10 fall in the 8..10 range case, not
-    the residue cases, so the range case is tested first.
+    the residue cases, so the range case is tested first.  Rejects an n that
+    is not an int (a bool included) or is below 6 with ValueError.
     """
+    if type(n) is not int:
+        raise ValueError(f"closed form needs an integer n, got {n!r}")
     if n < 6:
         raise ValueError(f"closed form needs n >= 6, got {n}")
     blocks = (n + 7) // 8
@@ -94,11 +97,10 @@ def tdc_total_domination_offset(n: int) -> int:
     n = 11, else 2.  The function cross-checks the split against the actual
     difference of the two closed forms and raises FormulaConsistencyError on
     disagreement (this happens at n = 6, where the true difference is 0).
+    formula_tdc, which runs first, checks n.
     """
-    if n < 6:
-        raise ValueError(f"offset needs n >= 6, got {n}")
-    value = _offset_case_split(n)
     difference = formula_tdc(n) - total_domination_number_formula(n)
+    value = _offset_case_split(n)
     if value != difference:
         raise FormulaConsistencyError(
             f"offset case split gives {value} at n={n} but the closed forms "
@@ -123,10 +125,8 @@ def formula_rows(n_from: int, n_to: int) -> list[tuple]:
 
     offset is the case split of tdc_total_domination_offset where it agrees
     with chi_dt - gamma_t, and None where it does not; offset_consistent
-    says which.
+    says which.  An empty range, or an n_from formula_tdc rejects, raises.
     """
-    if n_from < 6:
-        raise ValueError(f"table starts at n >= 6, got {n_from}")
     if n_to < n_from:
         raise ValueError(f"empty range {n_from}..{n_to}")
     rows = []

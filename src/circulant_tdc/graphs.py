@@ -92,24 +92,31 @@ def _check_order(n: int) -> None:
         raise GraphConstructionError(f"need n >= 3, got n={n}")
 
 
+def _generator_distance(g: int, n: int) -> int:
+    """The circular distance of generator g; refuses a g that is not an int (a bool
+    included) or is 0 mod n (a self-loop)."""
+    if type(g) is not int:
+        raise GraphConstructionError(f"generators must be integers, got {g!r}")
+    d = circular_distance(g, 0, n)
+    if d == 0:
+        raise GraphConstructionError(f"generator {g} is 0 mod {n} (self-loop)")
+    return d
+
+
 def build_circulant(n: int, generators: Sequence[int]) -> CirculantGraph:
     """Build the circulant graph on {1..n} with the given generators.
 
     Each generator g is normalized to the circular distance min(g mod n,
-    n - g mod n).  Rejects an n or a generator that is not an int (a bool
-    included), n < 3, generators congruent to 0 mod n (would be self-loops)
-    and generators that collide after normalization.
+    n - g mod n).  Rejects n as _check_order does, each generator as
+    _generator_distance does, and generators that collide after
+    normalization.
     """
     _check_order(n)
     if not generators:
         raise GraphConstructionError("need at least one generator")
     distances = []
     for g in generators:
-        if type(g) is not int:
-            raise GraphConstructionError(f"generators must be integers, got {g!r}")
-        d = circular_distance(g, 0, n)
-        if d == 0:
-            raise GraphConstructionError(f"generator {g} is 0 mod {n} (self-loop)")
+        d = _generator_distance(g, n)
         if d in distances:
             raise GraphConstructionError(
                 f"generator {g} duplicates circular distance {d} after normalization"
@@ -169,13 +176,12 @@ def reduce_to_standard(n: int, a: int, b: int) -> ReductionResult:
     """Compute c = a^{-1} b mod n and the vertex bijection x -> a^{-1} x.
 
     The bijection carries edges of C_n(a,b) onto edges of C_n(1,c); use
-    verify_isomorphism to certify that on a concrete instance.  Requires
-    gcd(a, n) = 1 and a, b nonzero mod n.
+    verify_isomorphism to certify that on a concrete instance.  Rejects n,
+    a and b as build_circulant does, and then gcd(a, n) != 1.
     """
-    if n < 3:
-        raise GraphConstructionError(f"need n >= 3, got n={n}")
-    if a % n == 0 or b % n == 0:
-        raise GraphConstructionError(f"generators must be nonzero mod n: a={a}, b={b}")
+    _check_order(n)
+    _generator_distance(a, n)
+    _generator_distance(b, n)
     if gcd(a, n) != 1:
         raise GraphConstructionError(
             f"gcd(a, n) = gcd({a}, {n}) = {gcd(a, n)} != 1; reduction is undefined"
@@ -203,17 +209,18 @@ def reduce_either_order(n: int, a: int, b: int) -> ReductionResult:
     C_n(a,b) and C_n(b,a) are one graph, but reduce_to_standard maps its
     first generator to 1, so only one order may reduce: C_11(3,1) does as
     (1, 3), and C_14(9,3) as (3, 9).  The distance 3 is read mod n, as in
-    standard_connection_set.  Raises GraphConstructionError as
-    reduce_to_standard does for n < 3 or a zero generator, and naming both
-    orders when neither reduces.
+    standard_connection_set.  n, a and b are checked once, before either
+    order, as reduce_to_standard checks them; when neither order reduces,
+    the GraphConstructionError names both.
     """
+    _check_order(n)
+    _generator_distance(a, n)
+    _generator_distance(b, n)
     failures = []
     for x, y in ((a, b), (b, a)):
         try:
             reduction = reduce_to_standard(n, x, y)
         except GraphConstructionError as exc:
-            if n < 3 or x % n == 0 or y % n == 0:
-                raise  # the same fault in either order
             failures.append(f"(a, b) = ({x}, {y}): {exc}.")
             continue
         if reduction.standard_c == circular_distance(3, 0, n):

@@ -207,10 +207,12 @@ def _packing_graph(g: CirculantGraph) -> CirculantGraph:
 def _independence_window_bound(g: CirculantGraph, masks: list[int]) -> int:
     """min of floor(n * alpha(G[W]) / |W|) over the windows W, or n without one.
 
-    The degree cap keeps the windows of a graph with a long distance, such
-    as C_25(4,12), from growing to n: without it, alpha on the 20 graphs
-    that the benchmark's exact searches run takes 0.75 ms per pass instead
-    of 0.5 ms (Python 3.11, 2-core Xeon).
+    The degree cap keeps the windows of a graph with a long distance from
+    growing to n: alpha on seven such isomorphs, C_25(4,12), C_23(10,30),
+    C_21(4,12), C_19(2,6), C_34(3,9), C_40(7,19) and C_37(5,15), takes
+    0.5 ms with it and 1.3 to 2.0 ms without, while alpha and rho on the
+    21 graphs of the benchmark's CLI mix take about 3.2 ms either way
+    (best of 7, graph builds included; Python 3.11, 2-core Xeon).
     """
     n = g.n
     if not g.connection_set:

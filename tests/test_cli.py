@@ -171,9 +171,14 @@ class TestSweep:
         assert code == 0
         assert out.strip().splitlines()[1].startswith("6,2,2,True")
 
-    def test_bad_range(self):
-        code, _ = run_cli("sweep", "10", "6")
-        assert code == 1
+    def test_bad_range(self, capsys):
+        # the range is sweep's to check, and n >= 6 is formula_tdc's
+        for n_from, n_to, error in [
+            ("10", "6", "empty range 10..6"),
+            ("5", "8", "closed form needs n >= 6, got 5"),
+        ]:
+            assert run_cli("sweep", n_from, n_to) == (1, "")
+            assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_csv_survives_budget_stop(self, monkeypatch):
         search = cli.tdc_number_exact
@@ -299,8 +304,9 @@ class TestVerifyColoring:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: give either a b or --set, not both"]
 
-    # A class that fails the builtin checks is walked label by label, so a
-    # later class, and a label that equals a member, get the same message.
+    # Each class is walked for a label that is not an int before it is
+    # checked for repeats, so a later class, a label that equals a member
+    # and a class that also repeats a label get the same message.
     @pytest.mark.parametrize(
         "text,where",
         [
@@ -310,8 +316,17 @@ class TestVerifyColoring:
             ('[[1,3,5,7],[2,4,"6",8]]', 'class 2: label "6"'),
             ("[[1,3,5,7],[2,4,true,8]]", "class 2: label true"),
             ("[[1,3,5,7],[2,4,6,8,8.0]]", "class 2: label 8.0"),
+            ('[[1,3,"x",3],[2]]', 'class 1: label "x"'),
         ],
-        ids=["string", "float", "bool", "digit-string-later", "bool-later", "float-equal-to-member"],
+        ids=[
+            "string",
+            "float",
+            "bool",
+            "digit-string-later",
+            "bool-later",
+            "float-equal-to-member",
+            "string-before-repeat",
+        ],
     )
     def test_rejects_non_integer_labels(self, tmp_path, capsys, text, where):
         f = tmp_path / "c.json"
@@ -349,8 +364,11 @@ class TestVerifyColoring:
             ("c.json", "[[1,3,5,5],[2,4,6]]", "class 1: label 5"),
             ("c.txt", "1 3 5\n2 4 6 4\n", "line 2: label 4"),
             ("c.json", "[[1,3,5],[2,4,6,4]]", "class 2: label 4"),
+            # a repeat is named before a vertex outside 1..n, or a bad label on a later line
+            ("c.json", "[[1,3,99],[2,2]]", "class 2: label 2"),
+            ("c.txt", "1 3\n2 4 4\n5 x\n", "line 2: label 4"),
         ],
-        ids=["text", "json", "text-later", "json-later"],
+        ids=["text", "json", "text-later", "json-later", "json-before-range", "text-before-token"],
     )
     def test_rejects_label_repeated_within_a_class(self, tmp_path, capsys, name, text, where):
         # a class is a set, so the repeat would otherwise vanish unreported
@@ -438,6 +456,21 @@ class TestContract:
         captured = capsys.readouterr()
         assert (code, out, captured.out) == (1, "", "")
         assert captured.err.startswith("error: ")
+
+    # each rule is checked in one place, so every path to it gives its text
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["table", "5", "9"], "closed form needs n >= 6, got 5"),
+            (["reduce", "13", "0", "3"], "generator 0 is 0 mod 13 (self-loop)"),
+            (["chidt", "13", "0", "3"], "generator 0 is 0 mod 13 (self-loop)"),
+            (["chidt", "13", "3", "0"], "generator 0 is 0 mod 13 (self-loop)"),
+        ],
+        ids=["table", "reduce", "chidt", "chidt-swapped"],
+    )
+    def test_input_error_text(self, capsys, argv, error):
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize(
         "argv",

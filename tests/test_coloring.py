@@ -240,6 +240,9 @@ class TestIsProper:
         c = Coloring.from_classes(9, [[v] for v in range(1, 10)])
         with pytest.raises(ColoringError):
             is_proper(g, c)
+        # is_tdc has no check of its own: is_proper, which it calls first, refuses
+        with pytest.raises(ColoringError, match="coloring is on 9 vertices, graph on 8"):
+            is_tdc(g, c)
 
 
 class TestCommonNeighborhood:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,12 @@ class TestFormulaTdc:
         with pytest.raises(ValueError):
             formula_tdc(5)
 
+    @pytest.mark.parametrize("n", [12.0, True, "12"])
+    def test_rejects_a_non_integer_n(self, n):
+        # formula_tdc is the one n check of the sweep, table and offset paths
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            formula_tdc(n)
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(min_value=6, max_value=10**6))
     def test_sanity_band(self, n):
@@ -61,6 +69,11 @@ class TestFormulaTdcGeneral:
     def test_rejects_n_below_6(self, n):
         with pytest.raises(ValueError, match=f"closed form needs n >= 6, got {n}"):
             formula_tdc_general(n, 1, 3)
+
+    def test_rejects_a_non_integer_generator(self):
+        # the reduction checks its generators as build_circulant does
+        with pytest.raises(GraphConstructionError, match=re.escape(repr(6.0))):
+            formula_tdc_general(13, 2, 6.0)
 
     def test_identifies_gcd_failure(self):
         # 3 and 6 are both non-units mod 9, so neither order reduces
@@ -97,7 +110,7 @@ class TestOffset:
         assert tdc_total_domination_offset(n) == formula_tdc(n) - total_domination_number_formula(n)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed form needs n >= 6, got 5"):
             tdc_total_domination_offset(5)
 
 
@@ -117,7 +130,7 @@ class TestFormulaTable:
         assert len(lines) == 4
 
     def test_range_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed form needs n >= 6, got 5"):
             formula_rows(5, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"empty range 10\.\.6"):
             formula_rows(10, 6)

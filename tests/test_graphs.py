@@ -163,10 +163,18 @@ class TestReduction:
             reduce_to_standard(9, 3, 1)
 
     def test_rejects_zero_generators(self):
-        with pytest.raises(GraphConstructionError):
+        with pytest.raises(GraphConstructionError, match=re.escape("9 is 0 mod 9 (self-loop)")):
             reduce_to_standard(9, 9, 1)
-        with pytest.raises(GraphConstructionError):
+        with pytest.raises(GraphConstructionError, match=re.escape("9 is 0 mod 9 (self-loop)")):
             reduce_to_standard(9, 2, 9)
+
+    # (n, a, b, the value the error names): checked as build_circulant checks them
+    @pytest.mark.parametrize(
+        "n,a,b,bad", [(13, 1, 3.0, 3.0), (13, True, 3, True), (12.0, 1, 3, 12.0)]
+    )
+    def test_rejects_a_non_integer(self, n, a, b, bad):
+        with pytest.raises(GraphConstructionError, match=re.escape(repr(bad))):
+            reduce_to_standard(n, a, b)
 
 
 class TestVerifyIsomorphism:
